@@ -122,6 +122,7 @@ class AdmValue {
   }
 
   // -- collection interface ----------------------------------------------------
+  void Reserve(size_t n) { children_.reserve(n); }
   AdmValue& Append(AdmValue v) {
     children_.push_back(std::move(v));
     return children_.back();

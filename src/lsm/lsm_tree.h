@@ -346,19 +346,25 @@ class LsmTree {
     Result<std::optional<Buffer>> GetDiskVersion(const BtreeKey& key) const;
 
     size_t component_count() const { return comps_.size(); }
-    const std::vector<std::shared_ptr<BtreeComponent>>& components() const {
+    // The accessors below return references into the view, so they exist
+    // only on named views: on a temporary (`tree->View().components()`) the
+    // reference would dangle once the full expression ends.
+    const std::vector<std::shared_ptr<BtreeComponent>>& components() const& {
       return comps_;
     }
+    void components() && = delete;
     /// The generation that was live at acquisition time.
-    const MemTable& memtable() const { return *mem_; }
+    const MemTable& memtable() const& { return *mem_; }
+    void memtable() && = delete;
     /// Sealed generations still awaiting their pooled flush build, newest
     /// first — empty in the common case (inline flushes, or an idle queue).
     /// Lookups and scans must consult memtable() first, then these in order
     /// (newer shadows older).
     const std::vector<std::shared_ptr<const MemTable>>& pending_memtables()
-        const {
+        const& {
       return pending_mems_;
     }
+    void pending_memtables() && = delete;
     /// Total on-disk physical bytes of the pinned components (data files +
     /// LAFs) — the Figure 16 metric.
     uint64_t physical_bytes() const;

@@ -142,8 +142,12 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
   // and no subtree is still being materialized. This is what makes access
   // cost proportional to the value's *position* in the record (paper §4.4.4,
   // Figure 22) rather than always linear in the record size.
+  // Exact paths take their first occurrence (records violating the
+  // unique-field-name contract), so a later duplicate neither overwrites a
+  // resolved path nor counts it twice.
   size_t unresolved = 0;
   bool any_wildcard = false;
+  std::vector<uint8_t> resolved(paths.size(), 0);
   for (const auto& p : paths) {
     if (p.HasWildcard()) {
       any_wildcard = true;
@@ -203,9 +207,12 @@ Status GetValuesVector(const VectorRecordView& view, const DatasetType& type,
         AdmValue* target;
         if (paths[a.path].HasWildcard()) {
           target = &(*out)[a.path].Append(AdmValue::Missing());
+        } else if (resolved[a.path] != 0) {
+          continue;
         } else {
+          resolved[a.path] = 1;
           target = &(*out)[a.path];
-          if (unresolved > 0) --unresolved;
+          --unresolved;
         }
         extraction_targets.push_back(target);
       } else {

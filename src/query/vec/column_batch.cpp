@@ -11,6 +11,14 @@ bool IsStringStorageTag(AdmTag t) {
   return t == AdmTag::kString || t == AdmTag::kBinary || t == AdmTag::kUuid;
 }
 
+bool IsListOfScalars(const AdmValue& v) {
+  if (!v.is_collection()) return false;
+  for (size_t k = 0; k < v.size(); ++k) {
+    if (IsNested(v.item(k).tag())) return false;
+  }
+  return true;
+}
+
 AdmValue IntTagValue(AdmTag tag, int64_t v) {
   switch (tag) {
     case AdmTag::kBoolean:  return AdmValue::Boolean(v != 0);
@@ -48,6 +56,8 @@ void ColumnVector::Clear() {
   doubles_.clear();
   ends_.clear();
   arena_.clear();
+  list_ends_.clear();
+  if (items_ != nullptr) items_->Clear();
   values_.clear();
 }
 
@@ -64,6 +74,9 @@ void ColumnVector::AppendValueless(AdmTag tag) {
       break;
     case Kind::kString:
       ends_.push_back(static_cast<uint32_t>(arena_.size()));
+      break;
+    case Kind::kList:
+      list_ends_.push_back(static_cast<uint32_t>(items_->size()));
       break;
     case Kind::kValue:
       values_.emplace_back(tag);
@@ -87,6 +100,9 @@ ColumnVector::Kind ColumnVector::Adopt(Kind want) {
       case Kind::kString:
         ends_.assign(tags_.size(), 0);
         break;
+      case Kind::kList:
+        list_ends_.assign(tags_.size(), 0);
+        break;
       default:
         values_.clear();
         for (AdmTag t : tags_) values_.emplace_back(t);
@@ -107,6 +123,8 @@ void ColumnVector::DemoteToValues() {
   doubles_.clear();
   ends_.clear();
   arena_.clear();
+  list_ends_.clear();
+  if (items_ != nullptr) items_->Clear();  // kept as the BeginList scratch
   kind_ = Kind::kValue;
 }
 
@@ -142,6 +160,25 @@ void ColumnVector::AppendString(AdmTag tag, std::string_view bytes) {
   values_.push_back(StringTagValue(tag, bytes));
 }
 
+ColumnVector* ColumnVector::BeginList(AdmTag tag) {
+  if (items_ == nullptr) items_ = std::make_unique<ColumnVector>();
+  Adopt(Kind::kList);
+  tags_.push_back(tag);
+  return items_.get();
+}
+
+void ColumnVector::EndList() {
+  if (kind_ == Kind::kList) {
+    list_ends_.push_back(static_cast<uint32_t>(items_->size()));
+    return;
+  }
+  AdmValue list(tags_.back());
+  list.Reserve(items_->size());
+  for (size_t j = 0; j < items_->size(); ++j) list.Append(items_->TakeValueAt(j));
+  values_.push_back(std::move(list));
+  items_->Clear();
+}
+
 void ColumnVector::AppendValue(const AdmValue& v) {
   AdmTag t = v.tag();
   if (t == AdmTag::kMissing || t == AdmTag::kNull) {
@@ -152,8 +189,12 @@ void ColumnVector::AppendValue(const AdmValue& v) {
     AppendDouble(t, v.double_value());
   } else if (IsStringStorageTag(t)) {
     AppendString(t, v.string_value());
+  } else if ((kind_ == Kind::kNone || kind_ == Kind::kList) && IsListOfScalars(v)) {
+    ColumnVector* items = BeginList(t);
+    for (size_t k = 0; k < v.size(); ++k) items->AppendValue(v.item(k));
+    EndList();
   } else {
-    // Points, nested values (wildcard-path arrays, objects): generic storage.
+    // Points, objects, collections with nested items: generic storage.
     Adopt(Kind::kValue);
     tags_.push_back(t);
     values_.push_back(v);
@@ -176,6 +217,14 @@ void ColumnVector::AppendFrom(const ColumnVector& src, size_t i) {
     case Kind::kString:
       AppendString(t, src.StringAt(i));
       return;
+    case Kind::kList: {
+      ColumnVector* items = BeginList(t);
+      for (size_t j = src.ListBegin(i); j < src.ListEnd(i); ++j) {
+        items->AppendFrom(*src.items_, j);
+      }
+      EndList();
+      return;
+    }
     default:
       AppendValue(src.values_[i]);
       return;
@@ -199,6 +248,14 @@ AdmValue ColumnVector::ValueAt(size_t i) const {
                                  : AdmValue::Double(doubles_[i]);
     case Kind::kString:
       return StringTagValue(t, StringAt(i));
+    case Kind::kList: {
+      AdmValue list(t);
+      list.Reserve(ListEnd(i) - ListBegin(i));
+      for (size_t j = ListBegin(i); j < ListEnd(i); ++j) {
+        list.Append(items_->ValueAt(j));
+      }
+      return list;
+    }
     case Kind::kValue:
       return values_[i];
     case Kind::kNone:
@@ -208,10 +265,17 @@ AdmValue ColumnVector::ValueAt(size_t i) const {
   return AdmValue::Missing();
 }
 
+AdmValue ColumnVector::TakeValueAt(size_t i) {
+  if (kind_ == Kind::kValue) return std::move(values_[i]);
+  return ValueAt(i);
+}
+
 size_t ColumnVector::ByteSize() const {
   size_t bytes = tags_.size() * sizeof(AdmTag) + ints_.size() * sizeof(int64_t) +
                  doubles_.size() * sizeof(double) +
-                 ends_.size() * sizeof(uint32_t) + arena_.size();
+                 ends_.size() * sizeof(uint32_t) + arena_.size() +
+                 list_ends_.size() * sizeof(uint32_t);
+  if (items_ != nullptr) bytes += items_->ByteSize();
   for (const AdmValue& v : values_) bytes += EstimateAdmValueBytes(v);
   return bytes;
 }

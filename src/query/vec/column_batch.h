@@ -6,13 +6,17 @@
 //
 // A ColumnVector adapts to the data it sees, because schemaless records give
 // no static column type: the first typed value picks the storage family
-// (int64, double, or a string arena), later values of the same family append
-// without any AdmValue materialization, and a family mismatch — or a nested
-// value, as produced by [*] wildcard paths — demotes the column to a plain
-// AdmValue vector with identical semantics. Missing/null rows are representable
-// in every storage family. The per-row ADM tag is always retained, so
-// ValueAt() reconstructs the exact AdmValue a row-at-a-time scan would have
-// produced — the row-bridge equivalence tests depend on that.
+// (int64, double, a string arena, or a list), later values of the same family
+// append without any AdmValue materialization, and a family mismatch demotes
+// the column to a plain AdmValue vector with identical semantics. The list
+// family holds the arrays of scalars that [*] wildcard paths extract (paper
+// §3.4.2's access pushed through UNNEST): per-row end offsets into one child
+// ColumnVector, which adapts on its own — mixed item types demote only the
+// child. What still demotes the whole column: a nested list item, an object,
+// a point, or a list row next to a scalar row. Missing/null rows are
+// representable in every storage family. The per-row ADM tag is always
+// retained, so ValueAt() reconstructs the exact AdmValue a row-at-a-time scan
+// would have produced — the row-bridge equivalence tests depend on that.
 #ifndef TC_QUERY_VEC_COLUMN_BATCH_H_
 #define TC_QUERY_VEC_COLUMN_BATCH_H_
 
@@ -29,7 +33,7 @@ namespace tc {
 class ColumnVector {
  public:
   /// Physical storage family. kNone = only missing/null seen so far.
-  enum class Kind : uint8_t { kNone, kInt64, kDouble, kString, kValue };
+  enum class Kind : uint8_t { kNone, kInt64, kDouble, kString, kList, kValue };
 
   void Clear();
   size_t size() const { return tags_.size(); }
@@ -50,8 +54,15 @@ class ColumnVector {
   void AppendDouble(AdmTag tag, double v);
   /// `tag` must be kString, kBinary, or kUuid; bytes are copied into the arena.
   void AppendString(AdmTag tag, std::string_view bytes);
-  /// Generic append: dispatches to the typed paths for scalar families,
-  /// demotes the column for everything else (points, nested values).
+  /// Starts a list row (`tag` kArray or kMultiset) and returns the column its
+  /// items are appended to, in order; EndList() closes the row. Nothing else
+  /// may be appended to this column in between. A column already demoted to
+  /// kValue collects the items in a scratch column and stores the built array.
+  ColumnVector* BeginList(AdmTag tag);
+  void EndList();
+  /// Generic append: dispatches to the typed paths for scalar families and
+  /// to the list family for collections of scalars; demotes the column for
+  /// everything else (points, objects, collections with nested items).
   void AppendValue(const AdmValue& v);
   /// Typed row copy from another column (the join's output assembly): no
   /// AdmValue is materialized when both columns share a storage family.
@@ -61,10 +72,17 @@ class ColumnVector {
   int64_t Int64At(size_t i) const { return ints_[i]; }
   double DoubleAt(size_t i) const { return doubles_[i]; }
   std::string_view StringAt(size_t i) const;
+  /// kList: the item range [begin, end) of row `i` in list_items().
+  size_t ListBegin(size_t i) const { return i == 0 ? 0 : list_ends_[i - 1]; }
+  size_t ListEnd(size_t i) const { return list_ends_[i]; }
+  const ColumnVector& list_items() const { return *items_; }
 
   /// Materializes row `i` as the AdmValue a row-at-a-time extraction would
   /// have produced (exact tag preserved).
   AdmValue ValueAt(size_t i) const;
+  /// ValueAt for a consumer that reads row `i` once: generic (kValue) storage
+  /// is moved out instead of copied, leaving row `i` unspecified.
+  AdmValue TakeValueAt(size_t i);
 
   /// Approximate heap footprint, for the join's memory accounting.
   size_t ByteSize() const;
@@ -83,6 +101,8 @@ class ColumnVector {
   std::vector<double> doubles_;     // kDouble
   std::vector<uint32_t> ends_;      // kString: arena end offset per row
   std::string arena_;               // kString: concatenated bytes
+  std::vector<uint32_t> list_ends_; // kList: items_ end offset per row
+  std::unique_ptr<ColumnVector> items_;  // kList items; kValue list scratch
   std::vector<AdmValue> values_;    // kValue
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/bytes.h"
 #include "common/env_config.h"
 #include "format/vector_format.h"
 #include "query/scan_predicate.h"
@@ -18,28 +19,46 @@ bool VecEnabledFromEnv() { return EnvInt64("TC_VEC_ENABLE", 1) != 0; }
 // Columnar fast-path extraction: one walk over the record's packed vectors
 // fills one slot per requested path, in place — strings stay string_views into
 // the payload (appended straight into the column arena), fixed scalars decode
-// on the stack. The walk skeleton mirrors ScanPredicateMatcher::MatchVector /
-// GetValuesVector (scope stack, active-path matching, declared-type
-// propagation); a structural change to any of the three walks MUST be mirrored
-// in the others. The terminal differs: extraction, first occurrence wins, and
-// a NESTED value at a terminal bails the whole record out to the generic
-// GetValues fallback (subtree materialization is exactly what this path
-// avoids implementing twice).
+// straight from the payload. Exact paths take the first occurrence; [*] paths
+// (the access pushed through UNNEST, paper §3.4.2) collect every scalar match
+// in record order, exactly as GetValuesVector flattens them, and fill the
+// column's list family. The walk skeleton mirrors
+// ScanPredicateMatcher::MatchVector / GetValuesVector (scope stack,
+// active-path matching, declared-type propagation); a structural change to
+// any of the three walks MUST be mirrored in the others. Only the terminal
+// differs: a NESTED value at a terminal bails the whole record out to the
+// generic GetValues fallback (subtree materialization is exactly what this
+// path avoids implementing twice).
 // ---------------------------------------------------------------------------
 
 class VecPathExtractor {
  public:
-  /// `paths` must outlive the extractor; every path is exact (no wildcards)
-  /// and non-empty — the eligibility check in VecScanOperator::Open.
+  /// `paths` must outlive the extractor; every path is non-empty — the
+  /// eligibility check in VecScanOperator::Open.
   explicit VecPathExtractor(const std::vector<FieldPath>& paths)
-      : paths_(&paths) {}
+      : paths_(&paths), slots_(paths.size()) {
+    for (size_t p = 0; p < paths.size(); ++p) {
+      slots_[p].is_list = paths[p].HasWildcard();
+      if (slots_[p].is_list) {
+        any_list_ = true;
+      } else {
+        ++exact_paths_;
+      }
+    }
+  }
 
-  struct Slot {
-    bool set = false;
-    bool is_view = false;        // var-length payload viewed in place
+  /// One scalar match; `fixed` / `var` point into the payload and stay valid
+  /// until the cursor moves off it.
+  struct Match {
     AdmTag tag = AdmTag::kMissing;
-    std::string_view view;       // valid until the next Extract call
-    AdmValue value;
+    const uint8_t* fixed = nullptr;
+    std::string_view var;
+  };
+  struct Slot {
+    bool is_list = false;      // [*] path: `list` holds every match
+    bool set = false;          // exact path: `value` was found
+    Match value;
+    std::vector<Match> list;
   };
 
   /// Attempts the direct extraction from one payload. Returns false (slots
@@ -73,6 +92,8 @@ class VecPathExtractor {
 
   const std::vector<FieldPath>* paths_;
   std::vector<Slot> slots_;
+  size_t exact_paths_ = 0;
+  bool any_list_ = false;
   std::vector<Scope> scopes_;
   size_t depth_ = 0;
   std::vector<Active> child_actives_;
@@ -84,8 +105,13 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
                                        const Schema* schema) {
   TC_RETURN_IF_ERROR(view.Validate());
   const std::vector<FieldPath>& paths = *paths_;
-  slots_.assign(paths.size(), Slot{});
-  size_t remaining = paths.size();
+  for (Slot& slot : slots_) {
+    slot.set = false;
+    slot.list.clear();
+  }
+  // Exact paths resolve at most once; a record with a [*] path is walked to
+  // the end, since any later item may still match.
+  size_t remaining = exact_paths_;
 
   VectorRecordWalker walker(view);
   VectorRecordWalker::Item it;
@@ -122,6 +148,8 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
       bool match = false;
       if (scope.is_object) {
         match = st.kind == PathStep::kField && st.name == name_;
+      } else if (st.kind == PathStep::kWildcard) {
+        match = true;
       } else if (st.kind == PathStep::kIndex) {
         match = st.index == scope.item_index;
       }
@@ -130,20 +158,19 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
         child_actives_.push_back({a.path, a.step + 1});
         continue;
       }
-      // Terminal. Records violating the unique-field-name contract take
-      // first-occurrence-wins, matching GetValuesVector.
+      // Terminal. Exact paths take first-occurrence-wins (records violating
+      // the unique-field-name contract), matching GetValuesVector.
       Slot& slot = slots_[a.path];
       if (slot.set) continue;
       if (IsNested(it.tag)) return false;  // subtree: generic fallback
-      slot.set = true;
-      slot.tag = it.tag;
-      if (IsVariableLengthScalar(it.tag)) {
-        slot.is_view = true;
-        slot.view = it.var;
-      } else {
-        slot.value = DecodeVectorScalarItem(it);
+      Match m{it.tag, it.fixed, it.var};
+      if (slot.is_list) {
+        slot.list.push_back(m);
+        continue;
       }
-      if (--remaining == 0) return true;
+      slot.set = true;
+      slot.value = m;
+      if (--remaining == 0 && !any_list_) return true;
     }
 
     const TypeDescriptor* item_decl = nullptr;
@@ -170,8 +197,37 @@ Result<bool> VecPathExtractor::Extract(const VectorRecordView& view,
       ++scope.item_index;
     }
   }
-  return true;  // unset slots are missing values
+  return true;  // unset exact slots are missing values
 }
+
+namespace {
+
+/// Appends one extracted scalar without building an AdmValue for the common
+/// double / bigint / string payloads.
+void AppendMatch(const VecPathExtractor::Match& m, ColumnVector* col) {
+  switch (m.tag) {
+    case AdmTag::kDouble:
+      col->AppendDouble(m.tag, GetDouble(m.fixed));
+      return;
+    case AdmTag::kBigInt:
+      col->AppendInt64(m.tag, static_cast<int64_t>(GetFixed64(m.fixed)));
+      return;
+    case AdmTag::kString:
+    case AdmTag::kBinary:
+      col->AppendString(m.tag, m.var);
+      return;
+    default: {
+      VectorRecordWalker::Item it;
+      it.tag = m.tag;
+      it.fixed = m.fixed;
+      it.var = m.var;
+      col->AppendValue(DecodeVectorScalarItem(it));
+      return;
+    }
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // VecScanOperator
@@ -218,15 +274,15 @@ Status VecScanOperator::Open() {
         });
     counts_in_filter_ = true;
   }
-  // Columnar fast path: vector-based records with consolidated access and
-  // exact scalar paths extract without the generic builder machinery.
+  // Columnar fast path: vector-based records with consolidated access
+  // extract exact and [*] scalar paths without the generic builder machinery.
   extractor_.reset();
   bool fast = !spec_.paths.empty() &&
               (accessor_->mode() == SchemaMode::kInferred ||
                accessor_->mode() == SchemaMode::kSchemalessVB) &&
               accessor_->consolidate();
   for (const FieldPath& p : spec_.paths) {
-    if (p.steps.empty() || p.HasWildcard()) fast = false;
+    if (p.steps.empty()) fast = false;
   }
   if (fast) extractor_ = std::make_unique<VecPathExtractor>(spec_.paths);
   first_ = true;
@@ -261,12 +317,15 @@ Result<bool> VecScanOperator::Next(ColumnBatch* batch) {
       if (fast_done) {
         for (size_t c = 0; c < spec_.paths.size(); ++c) {
           const VecPathExtractor::Slot& slot = extractor_->slot(c);
-          if (!slot.set) {
-            batch->cols[c].AppendMissing();
-          } else if (slot.is_view) {
-            batch->cols[c].AppendString(slot.tag, slot.view);
+          ColumnVector& col = batch->cols[c];
+          if (slot.is_list) {
+            ColumnVector* items = col.BeginList(AdmTag::kArray);
+            for (const VecPathExtractor::Match& m : slot.list) AppendMatch(m, items);
+            col.EndList();
+          } else if (slot.set) {
+            AppendMatch(slot.value, &col);
           } else {
-            batch->cols[c].AppendValue(slot.value);
+            col.AppendMissing();
           }
         }
       } else {
@@ -429,7 +488,7 @@ Result<bool> VecToRowBridge::Next(Row* row) {
       size_t r = order_[pos_++];
       row->partition = batch_.partition;
       row->cols.clear();
-      for (const ColumnVector& c : batch_.cols) row->cols.push_back(c.ValueAt(r));
+      for (ColumnVector& c : batch_.cols) row->cols.push_back(c.TakeValueAt(r));
       row->record = r < batch_.records.size() ? batch_.records[r] : nullptr;
       return true;
     }

@@ -40,8 +40,9 @@ class VecOperator {
 /// lowering is identical to ScanOperator (the merged cursor's payload filter
 /// owns the counters and a reusable matcher); surviving records are extracted
 /// into column vectors — via a direct walk over the packed vectors when the
-/// format and paths allow (vector-based records, consolidated access, exact
-/// scalar paths), via RecordAccessor::GetValues otherwise.
+/// format allows (vector-based records, consolidated access; exact and [*]
+/// paths whose terminals are scalars, [*] matches filling list columns), via
+/// RecordAccessor::GetValues otherwise.
 class VecScanOperator final : public VecOperator {
  public:
   VecScanOperator(DatasetPartition* partition, const RecordAccessor* accessor,

@@ -33,7 +33,7 @@ class NoneCompressor final : public Compressor {
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,
                     size_t* out_size) const override {
     if (n > out_cap) return Status::Corruption("none: output buffer too small");
-    std::memcpy(out, in, n);
+    if (n > 0) std::memcpy(out, in, n);  // empty input may come with null `in`
     *out_size = n;
     return Status::OK();
   }

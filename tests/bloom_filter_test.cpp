@@ -385,7 +385,8 @@ TEST(BloomFilterTree, FiltersSurviveMergesAndRecovery) {
   auto o = fx.Options();
   o.filter = BloomFilterConfig{10, true};
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
-  for (const auto& comp : t->View().components()) {
+  auto view = t->View();
+  for (const auto& comp : view.components()) {
     EXPECT_TRUE(comp->has_filter()) << comp->path();
     EXPECT_FALSE(comp->filter_degraded());
   }

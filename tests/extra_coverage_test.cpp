@@ -89,7 +89,8 @@ TEST(LsmIterator, SeekAcrossComponentsAndMemtable) {
   // one; what matters is that the iterator merges disk component(s) with the
   // live memtable tail.
   EXPECT_GE(tree->component_count(), 1u);
-  EXPECT_FALSE(tree->View().memtable().empty());
+  auto view = tree->View();
+  EXPECT_FALSE(view.memtable().empty());
   LsmTree::Iterator it(tree);
   ASSERT_TRUE(it.Seek(BtreeKey{150, 0}).ok());
   ASSERT_TRUE(it.Valid());

@@ -42,7 +42,8 @@ TEST(LsmTree, InsertGetAcrossFlush) {
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "one");
   ASSERT_TRUE(t->Flush().ok());
   EXPECT_EQ(t->component_count(), 1u);
-  EXPECT_TRUE(t->View().memtable().empty());
+  auto view = t->View();
+  EXPECT_TRUE(view.memtable().empty());
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "one");
   EXPECT_FALSE(t->Get(BtreeKey{3, 0}).ValueOrDie().has_value());
 }
@@ -57,7 +58,8 @@ TEST(LsmTree, DeleteAddsAntiMatterThatShadowsDiskVersion) {
   ASSERT_TRUE(t->Flush().ok());
   // Two components: the newer one carries the anti-matter entry (§2.2).
   EXPECT_EQ(t->component_count(), 2u);
-  EXPECT_EQ(t->View().components()[0]->meta().n_anti, 1u);
+  auto view = t->View();
+  EXPECT_EQ(view.components()[0]->meta().n_anti, 1u);
   EXPECT_FALSE(t->Get(BtreeKey{1, 0}).ValueOrDie().has_value());
 }
 

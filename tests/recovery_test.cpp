@@ -58,7 +58,8 @@ TEST(Recovery, WalReplayRestoresAndFlushesMemtable) {
   auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
   // Paper §3.1.2: recovery replays the log and flushes the restored memtable.
   EXPECT_EQ(t->component_count(), 1u);
-  EXPECT_TRUE(t->View().memtable().empty());
+  auto view = t->View();
+  EXPECT_TRUE(view.memtable().empty());
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "survives");
   EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "also");
 }
@@ -326,7 +327,8 @@ TEST(RecoveryFilterMatrix, CorruptedFilterPageLoadsFilterlessAndServes) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v" + std::to_string(k)).ok());
     }
     ASSERT_TRUE(t->Flush().ok());
-    ASSERT_TRUE(t->View().components()[0]->has_filter());
+    auto view = t->View();
+    ASSERT_TRUE(view.components()[0]->has_filter());
   }
   // Locate the filter pages through the v2 footer (filter_start lives right
   // after the v1 fixed fields, at offset 84) and flip one byte.

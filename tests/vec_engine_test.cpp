@@ -1,6 +1,7 @@
-// Tests for the vectorized execution tier: ColumnVector storage adaptation,
-// vec-vs-row paper-query equivalence (the bridge must be invisible to sinks),
-// and the partitioned hash join checked against a nested-loop reference under
+// Tests for the vectorized execution tier: ColumnVector storage adaptation
+// (including the list family of [*] paths), vec-vs-row equivalence over the
+// paper queries and randomized records (the bridge must be invisible to
+// sinks), and the partitioned hash join checked against a nested-loop reference under
 // randomized partition counts, key skew, budget-forced multi-wave execution,
 // and concurrent ingest.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "query/executor.h"
 #include "query/paper_queries.h"
 #include "query/planner.h"
 #include "query/vec/column_batch.h"
@@ -112,6 +114,138 @@ TEST(ColumnVector, AppendFromCopiesTypedRows) {
   EXPECT_EQ(dst.ValueAt(0).tag(), AdmTag::kInt);
   EXPECT_FALSE(dst.HasValueAt(1));
   EXPECT_EQ(dst.Int64At(2), 10);
+}
+
+// ---------------------------------------------------------------------------
+// ColumnVector list family ([*] paths)
+// ---------------------------------------------------------------------------
+
+AdmValue ArrayOf(std::vector<AdmValue> items, AdmTag tag = AdmTag::kArray) {
+  AdmValue a(tag);
+  for (AdmValue& v : items) a.Append(std::move(v));
+  return a;
+}
+
+TEST(ColumnVectorList, TypedChildRoundTrip) {
+  ColumnVector c;
+  ColumnVector* items = c.BeginList(AdmTag::kArray);
+  items->AppendDouble(AdmTag::kDouble, 1.5);
+  items->AppendDouble(AdmTag::kDouble, -2.0);
+  c.EndList();
+  c.BeginList(AdmTag::kArray);  // empty list row
+  c.EndList();
+  items = c.BeginList(AdmTag::kArray);
+  items->AppendDouble(AdmTag::kFloat, 3.0);
+  c.EndList();
+  EXPECT_EQ(c.kind(), ColumnVector::Kind::kList);
+  EXPECT_EQ(c.list_items().kind(), ColumnVector::Kind::kDouble);
+  ASSERT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.ListBegin(1), 2u);
+  EXPECT_EQ(c.ListEnd(1), 2u);
+  EXPECT_EQ(c.ListEnd(2), 3u);
+  EXPECT_EQ(c.ValueAt(0), ArrayOf({AdmValue::Double(1.5), AdmValue::Double(-2.0)}));
+  EXPECT_EQ(c.ValueAt(1), AdmValue::Array());
+  EXPECT_EQ(c.ValueAt(2), ArrayOf({AdmValue::Float(3.0f)}));
+  EXPECT_EQ(c.ValueAt(2).item(0).tag(), AdmTag::kFloat);
+}
+
+TEST(ColumnVectorList, MixedItemsDemoteOnlyTheChild) {
+  ColumnVector c;
+  AdmValue first = ArrayOf({AdmValue::BigInt(7), AdmValue::String("x")});
+  AdmValue second = ArrayOf({AdmValue::Null(), AdmValue::Point(1, 2),
+                             AdmValue::TinyInt(-3)});
+  c.AppendValue(first);
+  c.AppendValue(second);
+  EXPECT_EQ(c.kind(), ColumnVector::Kind::kList);
+  EXPECT_EQ(c.list_items().kind(), ColumnVector::Kind::kValue);
+  EXPECT_EQ(c.ValueAt(0), first);
+  EXPECT_EQ(c.ValueAt(1), second);
+  EXPECT_EQ(c.ValueAt(1).item(2).tag(), AdmTag::kTinyInt);
+}
+
+TEST(ColumnVectorList, MissingAndNullRowsKeepTheFamily) {
+  ColumnVector c;
+  c.AppendMissing();
+  c.AppendNull();
+  ColumnVector* items = c.BeginList(AdmTag::kMultiset);
+  items->AppendString(AdmTag::kString, "a");
+  items->AppendNull();
+  c.EndList();
+  c.AppendMissing();
+  EXPECT_EQ(c.kind(), ColumnVector::Kind::kList);
+  EXPECT_EQ(c.list_items().kind(), ColumnVector::Kind::kString);
+  EXPECT_FALSE(c.HasValueAt(0));
+  EXPECT_FALSE(c.HasValueAt(1));
+  EXPECT_TRUE(c.HasValueAt(2));
+  EXPECT_FALSE(c.HasValueAt(3));
+  EXPECT_EQ(c.ValueAt(0).tag(), AdmTag::kMissing);
+  EXPECT_EQ(c.ValueAt(1).tag(), AdmTag::kNull);
+  EXPECT_EQ(c.ValueAt(3).tag(), AdmTag::kMissing);
+  // Exact collection tag and item tags survive.
+  AdmValue want = ArrayOf({AdmValue::String("a"), AdmValue::Null()},
+                          AdmTag::kMultiset);
+  EXPECT_EQ(c.ValueAt(2), want);
+  EXPECT_EQ(c.ValueAt(2).tag(), AdmTag::kMultiset);
+  EXPECT_EQ(c.TakeValueAt(2), want);
+}
+
+TEST(ColumnVectorList, NonListRowsDemoteTheColumn) {
+  AdmValue list = ArrayOf({AdmValue::BigInt(1), AdmValue::BigInt(2)});
+  AdmValue nested = ArrayOf({AdmValue::BigInt(3), ArrayOf({AdmValue::BigInt(4)})});
+  {
+    ColumnVector c;  // list row, then a scalar row
+    c.AppendValue(list);
+    c.AppendInt64(AdmTag::kBigInt, 9);
+    EXPECT_EQ(c.kind(), ColumnVector::Kind::kValue);
+    EXPECT_EQ(c.ValueAt(0), list);
+    EXPECT_EQ(c.ValueAt(1), AdmValue::BigInt(9));
+  }
+  {
+    ColumnVector c;  // list row, then a list with a nested item
+    c.AppendValue(list);
+    c.AppendValue(nested);
+    EXPECT_EQ(c.kind(), ColumnVector::Kind::kValue);
+    EXPECT_EQ(c.ValueAt(0), list);
+    EXPECT_EQ(c.ValueAt(1), nested);
+  }
+  {
+    ColumnVector c;  // a demoted column still takes BeginList rows
+    c.AppendString(AdmTag::kString, "s");
+    ColumnVector* items = c.BeginList(AdmTag::kArray);
+    items->AppendInt64(AdmTag::kBigInt, 1);
+    items->AppendInt64(AdmTag::kBigInt, 2);
+    c.EndList();
+    c.AppendValue(list);
+    EXPECT_EQ(c.kind(), ColumnVector::Kind::kValue);
+    EXPECT_EQ(c.ValueAt(0), AdmValue::String("s"));
+    EXPECT_EQ(c.ValueAt(1), list);
+    EXPECT_EQ(c.ValueAt(2), list);
+    EXPECT_EQ(c.TakeValueAt(1), list);
+  }
+}
+
+TEST(ColumnVectorList, AppendFromCopiesListRows) {
+  ColumnVector src;
+  src.AppendValue(ArrayOf({AdmValue::Double(1), AdmValue::Double(2)}));
+  src.AppendNull();
+  src.AppendValue(AdmValue::Array());
+  src.AppendValue(ArrayOf({AdmValue::Double(3)}));
+  ColumnVector dst;
+  for (size_t i : {3u, 1u, 0u, 2u}) dst.AppendFrom(src, i);
+  EXPECT_EQ(dst.kind(), ColumnVector::Kind::kList);
+  EXPECT_EQ(dst.list_items().kind(), ColumnVector::Kind::kDouble);
+  EXPECT_EQ(dst.ValueAt(0), src.ValueAt(3));
+  EXPECT_EQ(dst.ValueAt(1).tag(), AdmTag::kNull);
+  EXPECT_EQ(dst.ValueAt(2), src.ValueAt(0));
+  EXPECT_EQ(dst.ValueAt(3), AdmValue::Array());
+  // Into a demoted column: the rows arrive as built arrays.
+  ColumnVector mixed;
+  mixed.AppendInt64(AdmTag::kBigInt, 5);
+  mixed.AppendFrom(src, 0);
+  EXPECT_EQ(mixed.kind(), ColumnVector::Kind::kValue);
+  EXPECT_EQ(mixed.ValueAt(1), src.ValueAt(0));
+  // A typed list column's footprint does not depend on materialized values.
+  EXPECT_GE(src.ByteSize(), 3 * sizeof(double));
 }
 
 TEST(ColumnBatch, SelectionVectorDrivesActiveRows) {
@@ -238,6 +372,181 @@ TEST(VecRowEquivalence, InListPredicateAllPathsAgree) {
           << "vectorized=" << vectorized << " pushdown=" << pushdown;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Randomized vec-vs-row scan equivalence: the columnar extractor (exact, [*]
+// and [i] paths) plus its GetValues fallback must return exactly what the
+// row scan's GetValuesVector returns, record by record.
+// ---------------------------------------------------------------------------
+
+/// testutil::RandomRecord plus an "arr" field in one of the shapes a [*] path
+/// must handle, and top-level / in-item duplicate field names.
+AdmValue WildcardRecord(Rng* rng, int64_t id) {
+  AdmValue rec = testutil::RandomRecord(rng, id, 3);
+  auto item_obj = [rng]() {
+    AdmValue o = AdmValue::Object();
+    o.AddField("x", rng->Bernoulli(0.1) ? testutil::RandomValue(rng, 2)
+                                        : testutil::RandomScalar(rng));
+    AdmValue y = AdmValue::Array();
+    for (uint64_t k = rng->Uniform(4); k > 0; --k) {
+      y.Append(AdmValue::BigInt(rng->Range(-50, 50)));
+    }
+    o.AddField("y", std::move(y));
+    if (rng->Bernoulli(0.2)) o.AddField("x", testutil::RandomScalar(rng));
+    return o;
+  };
+  AdmValue arr;
+  uint64_t n = rng->Uniform(6);
+  switch (rng->Uniform(9)) {
+    case 0:  // no "arr": wildcards over a missing field
+      break;
+    case 1:  // wildcard over a non-collection
+      arr = testutil::RandomScalar(rng);
+      break;
+    case 2:  // typed doubles
+      arr = AdmValue::Array();
+      for (uint64_t k = 0; k < n; ++k) arr.Append(AdmValue::Double(rng->NextDouble()));
+      break;
+    case 3:  // mixed-type scalars, including nulls and points
+      arr = AdmValue::Array();
+      for (uint64_t k = 0; k < n; ++k) arr.Append(testutil::RandomScalar(rng));
+      break;
+    case 4:  // multiset of strings
+      arr = AdmValue::Multiset();
+      for (uint64_t k = 0; k < n; ++k) arr.Append(AdmValue::String(rng->AlphaString(3)));
+      break;
+    case 5:  // wildcard over an object
+      arr = item_obj();
+      break;
+    case 6:  // array of objects
+      arr = AdmValue::Array();
+      for (uint64_t k = 0; k < n; ++k) arr.Append(item_obj());
+      break;
+    case 7:  // array of arrays of scalars
+      arr = AdmValue::Array();
+      for (uint64_t k = 0; k < n; ++k) {
+        AdmValue inner = AdmValue::Array();
+        for (uint64_t j = rng->Uniform(4); j > 0; --j) {
+          inner.Append(AdmValue::BigInt(rng->Range(0, 9)));
+        }
+        arr.Append(std::move(inner));
+      }
+      break;
+    default:  // scalars and objects side by side
+      arr = AdmValue::Array();
+      for (uint64_t k = 0; k < n; ++k) {
+        arr.Append(rng->Bernoulli(0.5) ? item_obj() : testutil::RandomScalar(rng));
+      }
+      break;
+  }
+  if (arr.tag() != AdmTag::kMissing) rec.AddField("arr", std::move(arr));
+  for (uint64_t k = rng->Uniform(3); k > 0; --k) {
+    rec.AddField("dup", testutil::RandomScalar(rng));
+  }
+  return rec;
+}
+
+/// Runs one scan over every partition and returns each partition's rows.
+std::vector<std::vector<std::vector<AdmValue>>> ScanRows(
+    Dataset* ds, const std::vector<FieldPath>& paths, bool vectorized,
+    size_t batch_rows) {
+  std::vector<std::vector<std::vector<AdmValue>>> rows(ds->partition_count());
+  QueryOptions opt;
+  auto stats = RunPartitioned(
+      ds, opt,
+      [&](const PartitionContext& ctx) -> Result<std::unique_ptr<Operator>> {
+        ScanSpec spec{paths, false, nullptr};
+        if (!vectorized) {
+          return std::unique_ptr<Operator>(new ScanOperator(
+              ctx.partition, ctx.accessor, std::move(spec), ctx.counters, ctx.view));
+        }
+        std::unique_ptr<VecOperator> scan(
+            new VecScanOperator(ctx.partition, ctx.accessor, std::move(spec),
+                                batch_rows, ctx.counters, ctx.view));
+        return std::unique_ptr<Operator>(new VecToRowBridge(std::move(scan)));
+      },
+      [&](int pid) -> RowSink {
+        auto* out = &rows[static_cast<size_t>(pid)];
+        return [out](Row&& row) {
+          out->push_back(std::move(row.cols));
+          return Status::OK();
+        };
+      });
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  return rows;
+}
+
+TEST(VecRowEquivalence, RandomizedWildcardPathsAgree) {
+  const std::vector<std::string> all = {
+      "arr[*]",       "arr[*].x",  "arr[*].y[*]", "arr[*][1]", "arr[*].y[0]",
+      "arr[*][*]",    "arr[1].y[*]", "dup",     "arr[*].dup", "f1[*]",
+      "f2[*][*]",     "id",        "f0",        "arr",       "arr[0]",
+      "absent[*].x"};
+  std::vector<std::vector<std::string>> specs;
+  for (const std::string& p : all) specs.push_back({p});
+  specs.push_back({"id", "arr[*]", "dup"});
+  specs.push_back({"arr[*].x", "arr[*].y[*]", "arr[*][1]", "f1[*]", "dup"});
+  specs.push_back(all);
+  for (SchemaMode mode : {SchemaMode::kInferred, SchemaMode::kSchemalessVB}) {
+    DatasetFixture fx;
+    ASSERT_TRUE(fx.Open(SmallOptions(mode, 32), 2).ok());
+    Rng rng(mode == SchemaMode::kInferred ? 21 : 22);
+    const int n = 300;
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(fx.dataset->Insert(WildcardRecord(&rng, i)).ok());
+      // Flushed (compacted, for kInferred) components plus a memtable tail.
+      if (i == 2 * n / 3) {
+        ASSERT_TRUE(fx.dataset->FlushAll().ok());
+      }
+    }
+    for (const auto& names : specs) {
+      std::vector<FieldPath> paths;
+      for (const std::string& name : names) paths.push_back(FieldPath::Parse(name));
+      auto ref = ScanRows(fx.dataset.get(), paths, false, 0);
+      size_t total = 0;
+      for (const auto& part : ref) total += part.size();
+      ASSERT_EQ(total, static_cast<size_t>(n));
+      for (size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+        auto got = ScanRows(fx.dataset.get(), paths, true, batch_rows);
+        ASSERT_EQ(got.size(), ref.size());
+        for (size_t p = 0; p < ref.size(); ++p) {
+          ASSERT_EQ(got[p].size(), ref[p].size());
+          for (size_t r = 0; r < ref[p].size(); ++r) {
+            ASSERT_EQ(got[p][r], ref[p][r])
+                << "mode=" << static_cast<int>(mode) << " paths=" << names[0]
+                << (names.size() > 1 ? ",..." : "") << " batch_rows=" << batch_rows
+                << " partition=" << p << " row=" << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The Sensors pushed-through-unnest path extracts straight into a typed list
+// column: doubles, no per-item AdmValue.
+TEST(VecScan, WildcardScalarsFillTypedListColumns) {
+  DatasetFixture fx;
+  ASSERT_TRUE(fx.Open(SmallOptions(SchemaMode::kInferred, 128), 1).ok());
+  auto gen = MakeGenerator("sensors", 5);
+  for (int i = 0; i < 12; ++i) ASSERT_TRUE(fx.dataset->Insert(gen->NextRecord()).ok());
+  ASSERT_TRUE(fx.dataset->FlushAll().ok());
+  DatasetPartition* part = fx.dataset->partition(0);
+  RecordAccessor accessor(part->options().mode, &part->options().type,
+                          part->SchemaSnapshot(), /*consolidate=*/true);
+  ScanCounters counters;
+  VecScanOperator scan(part, &accessor,
+                       ScanSpec{{FieldPath::Parse("readings[*].temp")}, false, nullptr},
+                       1024, &counters);
+  ASSERT_TRUE(scan.Open().ok());
+  ColumnBatch batch;
+  ASSERT_TRUE(scan.Next(&batch).ValueOrDie());
+  ASSERT_EQ(batch.rows, 12u);
+  const ColumnVector& col = batch.cols[0];
+  EXPECT_EQ(col.kind(), ColumnVector::Kind::kList);
+  EXPECT_EQ(col.list_items().kind(), ColumnVector::Kind::kDouble);
+  EXPECT_GT(col.list_items().size(), batch.rows);
 }
 
 // ---------------------------------------------------------------------------
