@@ -62,6 +62,19 @@ Result<std::unique_ptr<PagedFile>> PagedFile::Open(
     }
     TC_ASSIGN_OR_RETURN(pf->laf_bytes_, pf->fs_->FileSize(LafPath(path)));
     pf->append_offset_ = pf->file_->Size();
+    // A truncated data file must surface as corruption here, not as a short
+    // read on the first scan that reaches the missing page.
+    for (size_t i = 0; i < pf->entries_.size(); ++i) {
+      const LafEntry& e = pf->entries_[i];
+      if (e.length == 0 || e.offset > pf->append_offset_ ||
+          e.length > pf->append_offset_ - e.offset) {
+        return Status::Corruption(
+            "paged file page " + std::to_string(i) + " (offset " +
+            std::to_string(e.offset) + ", length " + std::to_string(e.length) +
+            ") lies outside the data file (" +
+            std::to_string(pf->append_offset_) + " bytes): " + path);
+      }
+    }
   } else {
     pf->compressor_ = GetCompressor(CompressionKind::kNone);
     uint64_t size = pf->file_->Size();
@@ -126,11 +139,15 @@ Status PagedFile::ReadPage(uint32_t page_no, uint8_t* out) const {
   if (!compressed()) {
     return file_->Read(e.offset, page_size_, out);
   }
-  Buffer raw(e.length);
+  // Compressed bytes are staged in a per-thread buffer that only grows, so a
+  // miss does not allocate and zero-fill a fresh one. Open() bounds every
+  // entry's length by the data file's size.
+  thread_local Buffer raw;
+  if (raw.size() < e.length) raw.resize(e.length);
   TC_RETURN_IF_ERROR(file_->Read(e.offset, e.length, raw.data()));
   size_t out_size = 0;
   TC_RETURN_IF_ERROR(
-      compressor_->Decompress(raw.data(), raw.size(), out, page_size_, &out_size));
+      compressor_->Decompress(raw.data(), e.length, out, page_size_, &out_size));
   if (out_size != page_size_) {
     return Status::Corruption("page decompressed to unexpected size");
   }

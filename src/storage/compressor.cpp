@@ -120,60 +120,123 @@ void EmitLongCopy(size_t offset, size_t len, Buffer* out) {
   }
 }
 
+// Fixed-size moves; memcpy with a constant size compiles to one unaligned
+// load/store pair, so callers must guarantee the ranges do not overlap.
+inline void Move8(uint8_t* dst, const uint8_t* src) { std::memcpy(dst, src, 8); }
+inline void Move16(uint8_t* dst, const uint8_t* src) { std::memcpy(dst, src, 16); }
+
+// Out of line so the error strings stay out of the decode loop's code.
+[[gnu::noinline, gnu::cold]] Status Corrupt(const char* who, const char* what) {
+  return Status::Corruption(std::string(who) + ": " + what);
+}
+
 // One decoder for both homegrown streams; `allow_long` rejects the heavy
 // codec's long-copy op when decoding a snappy stream.
+//
+// Ops are decoded word-at-a-time: a short literal is one 16-byte move, and a
+// copy whose offset is at least 16 (8) repeats 16-byte (8-byte) moves, each
+// of which reads only bytes already written. Rounding an op up to whole
+// moves may write past the op's end; such slack writes are made only while
+// they stay inside [out, out + expected), and the next op overwrites them.
+// Copies with offset < 8 and ops near the end of the output stay byte-wise.
 Status DecodeLz77(const char* who, bool allow_long, const uint8_t* in, size_t n,
                   uint8_t* out, size_t out_cap, size_t* out_size) {
   const uint8_t* p = in;
   const uint8_t* limit = in + n;
   uint64_t expected = 0;
   size_t consumed = GetVarint64(p, limit, &expected);
-  if (consumed == 0) return Status::Corruption(std::string(who) + ": bad length varint");
-  if (expected > out_cap) return Status::Corruption(std::string(who) + ": output too small");
+  if (consumed == 0) return Corrupt(who, "bad length varint");
+  if (expected > out_cap) return Corrupt(who, "output too small");
   p += consumed;
-  size_t pos = 0;
+  uint8_t* op = out;
+  uint8_t* const op_end = out + expected;
   while (p < limit) {
+    // Fast path for the ops that dominate real pages. With 17 input and 64
+    // output bytes left, a literal of at most 16 bytes or a short copy with
+    // offset >= 16 cannot overrun either buffer, so only the offset is
+    // checked; everything else takes the checked path below.
+    if (limit - p >= 17 && op_end - op >= 64) {
+      const uint8_t tag = *p;
+      if ((tag & 3) == 2) {
+        const size_t offset = static_cast<size_t>(p[1] | (p[2] << 8));
+        if (offset >= 16 && offset <= static_cast<size_t>(op - out)) {
+          const size_t len = (tag >> 2) + 4;
+          const uint8_t* src = op - offset;
+          Move16(op, src);  // most copies fit one move, the rest four
+          if (len > 16) {
+            Move16(op + 16, src + 16);
+            Move16(op + 32, src + 32);
+            Move16(op + 48, src + 48);
+          }
+          p += 3;
+          op += len;
+          continue;
+        }
+      } else if ((tag & 0xc3) == 0) {  // literal, (tag >> 2) < 16
+        const size_t len = (tag >> 2) + 1;
+        Move16(op, p + 1);
+        p += len + 1;
+        op += len;
+        continue;
+      }
+    }
     uint8_t tag = *p++;
+    size_t room = static_cast<size_t>(op_end - op);
     if ((tag & 3) == 0) {  // literal
       size_t len = (tag >> 2) + 1;
       if (len == 61) {
-        if (p >= limit) return Status::Corruption(std::string(who) + ": truncated literal len");
+        if (p >= limit) return Corrupt(who, "truncated literal len");
         len = static_cast<size_t>(*p++) + 1;
       } else if (len == 62) {
-        if (p + 2 > limit) return Status::Corruption(std::string(who) + ": truncated literal len");
+        if (limit - p < 2) return Corrupt(who, "truncated literal len");
         len = static_cast<size_t>(p[0] | (p[1] << 8)) + 1;
         p += 2;
       }
-      if (p + len > limit || pos + len > expected) {
-        return Status::Corruption(std::string(who) + ": literal overruns buffer");
+      if (len > static_cast<size_t>(limit - p) || len > room) {
+        return Corrupt(who, "literal overruns buffer");
       }
-      std::memcpy(out + pos, p, len);
+      std::memcpy(op, p, len);
       p += len;
-      pos += len;
+      op += len;
     } else if ((tag & 3) == 2 || ((tag & 3) == 1 && allow_long)) {  // copy
       size_t len;
       if ((tag & 3) == 2) {
         len = ((tag >> 2) & 0x3f) + 4;
       } else {
-        if (p >= limit) return Status::Corruption(std::string(who) + ": truncated long copy");
+        if (p >= limit) return Corrupt(who, "truncated long copy");
         len = (((tag >> 2) & 0x3f) | (static_cast<size_t>(*p++) << 6)) + 4;
       }
-      if (p + 2 > limit) return Status::Corruption(std::string(who) + ": truncated copy");
+      if (limit - p < 2) return Corrupt(who, "truncated copy");
       size_t offset = static_cast<size_t>(p[0] | (p[1] << 8));
       p += 2;
-      if (offset == 0 || offset > pos || pos + len > expected) {
-        return Status::Corruption(std::string(who) + ": bad copy");
+      // offset - 1 wraps for offset 0, so one compare rejects both.
+      if (offset - 1 >= static_cast<size_t>(op - out) || len > room) {
+        return Corrupt(who, "bad copy");
       }
-      for (size_t i = 0; i < len; ++i) {  // byte-wise: offsets may overlap
-        out[pos + i] = out[pos + i - offset];
+      uint8_t* const copy_end = op + len;
+      const uint8_t* src = op - offset;
+      if (offset >= 16 && room >= len + 15) {
+        do {
+          Move16(op, src);
+          op += 16;
+          src += 16;
+        } while (op < copy_end);
+      } else if (offset >= 8 && room >= len + 7) {
+        do {
+          Move8(op, src);
+          op += 8;
+          src += 8;
+        } while (op < copy_end);
+      } else {
+        while (op < copy_end) *op++ = *src++;  // byte-wise: offsets may overlap
       }
-      pos += len;
+      op = copy_end;
     } else {
-      return Status::Corruption(std::string(who) + ": unknown tag");
+      return Corrupt(who, "unknown tag");
     }
   }
-  if (pos != expected) return Status::Corruption(std::string(who) + ": length mismatch");
-  *out_size = pos;
+  if (op != op_end) return Corrupt(who, "length mismatch");
+  *out_size = static_cast<size_t>(expected);
   return Status::OK();
 }
 

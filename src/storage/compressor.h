@@ -8,6 +8,14 @@
 // boundary and decompressed to their fixed configured size on read; the codec
 // a file was written with is persisted in its LAF sidecar (v2), so components
 // recompressed at merge stay readable by a tree configured with any codec.
+//
+// The snappy and heavy tiers share one decoder, which copies whole 8- and
+// 16-byte words rather than single bytes; that decode is what every
+// buffer-cache miss on a compressed page pays. Its slack rule: a word move
+// may run past the end of the op it decodes, but never past the stream's
+// declared length: it writes nothing outside out[0, declared length),
+// whatever `out_cap` the caller passes, and rejects a malformed stream with
+// Corruption.
 #ifndef TC_STORAGE_COMPRESSOR_H_
 #define TC_STORAGE_COMPRESSOR_H_
 

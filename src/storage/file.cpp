@@ -35,7 +35,7 @@ class MemFile final : public File {
     if (offset + n > inode_->data.size()) {
       return Status::IOError("mem: read past end of file");
     }
-    std::memcpy(buf, inode_->data.data() + offset, n);
+    if (n > 0) std::memcpy(buf, inode_->data.data() + offset, n);  // empty file: null data()
     if (device_ != nullptr) device_->OnRead(n);
     return Status::OK();
   }
@@ -43,7 +43,7 @@ class MemFile final : public File {
   Status Write(uint64_t offset, const uint8_t* buf, size_t n) override {
     std::lock_guard<std::mutex> lock(inode_->mu);
     if (offset + n > inode_->data.size()) inode_->data.resize(offset + n);
-    std::memcpy(inode_->data.data() + offset, buf, n);
+    if (n > 0) std::memcpy(inode_->data.data() + offset, buf, n);
     if (device_ != nullptr) device_->OnWrite(n);
     return Status::OK();
   }

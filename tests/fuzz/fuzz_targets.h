@@ -19,6 +19,13 @@ int FuzzParseAdm(const uint8_t* data, size_t size);
 /// form that deserializes to the same bytes again.
 int FuzzDeserializeSchema(const uint8_t* data, size_t size);
 
+/// The snappy and heavy page decoders over arbitrary bytes, each decoding
+/// into a heap buffer exactly as large as the stream's declared length.
+/// Invariants: never crashes, never writes past the output capacity (checked
+/// by a sentinel tail, and by the sanitizers on the exact buffer), and any
+/// output a decoder accepts round-trips through the snappy codec.
+int FuzzDecompress(const uint8_t* data, size_t size);
+
 }  // namespace tc
 
 #endif  // TC_TESTS_FUZZ_FUZZ_TARGETS_H_

@@ -1,7 +1,8 @@
 // Regenerates the checked-in fuzz corpus under tests/fuzz/corpus/. Seeds come
 // from the workload generators (real record shapes for ParseAdm; their
-// inferred schemas, serialized, for DeserializeSchema) plus handwritten edge
-// cases. Deterministic — rerunning produces identical files.
+// inferred schemas, serialized, for DeserializeSchema; snappy and heavy
+// streams of their vector-format records for the page decoders) plus
+// handwritten edge cases. Deterministic — rerunning produces identical files.
 //
 //   ./make_corpus <corpus_dir>
 #include <cstdio>
@@ -11,9 +12,11 @@
 #include <vector>
 
 #include "adm/printer.h"
+#include "format/vector_format.h"
 #include "schema/inference.h"
 #include "schema/schema_io.h"
 #include "schema/schema_tree.h"
+#include "storage/compressor.h"
 #include "workload/workload.h"
 
 namespace {
@@ -21,6 +24,18 @@ namespace {
 void WriteFile(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void WriteFile(const std::string& path, const tc::Buffer& bytes) {
+  WriteFile(path, std::string(bytes.begin(), bytes.end()));
+}
+
+// A hand-built LZ77 stream: declared length, then raw op bytes.
+tc::Buffer Stream(uint64_t declared, std::initializer_list<uint8_t> ops) {
+  tc::Buffer s;
+  tc::PutVarint64(&s, declared);
+  s.insert(s.end(), ops);
+  return s;
 }
 
 }  // namespace
@@ -97,6 +112,72 @@ int main(int argc, char** argv) {
                 std::string(blob.begin(), blob.begin() + blob.size() / 2));
     }
     n += 2;
+  }
+
+  // Page-decoder seeds: short real snappy and heavy streams of vector-format
+  // records (a handful of records each, so the fuzzer mutates small inputs)...
+  for (const char* dataset : {"twitter", "sensors"}) {
+    auto gen = tc::MakeGenerator(dataset, /*seed=*/13);
+    tc::DatasetType type = gen->OpenType();
+    tc::Buffer page;
+    for (int i = 0; i < 3; ++i) {
+      auto st = tc::EncodeVectorRecord(gen->NextRecord(), type, &page);
+      if (!st.ok()) {
+        std::fprintf(stderr, "encode failed: %s\n", st.ToString().c_str());
+        return 1;
+      }
+    }
+    for (tc::CompressionKind kind :
+         {tc::CompressionKind::kSnappy, tc::CompressionKind::kHeavy}) {
+      tc::Buffer stream;
+      if (!tc::GetCompressor(kind)->Compress(page.data(), page.size(), &stream).ok()) {
+        return 1;
+      }
+      WriteFile(dir + "/lz77_" + tc::CompressionKindName(kind) + "_" + dataset,
+                stream);
+      ++n;
+    }
+  }
+  // ...a heavy stream whose long copies run past the 64-byte short-copy cap...
+  {
+    std::string text;
+    for (int i = 0; i < 200; ++i) text += "sensor_reading_";
+    tc::Buffer stream;
+    if (!tc::GetCompressor(tc::CompressionKind::kHeavy)
+             ->Compress(reinterpret_cast<const uint8_t*>(text.data()), text.size(),
+                        &stream)
+             .ok()) {
+      return 1;
+    }
+    WriteFile(dir + "/lz77_heavy_long_copies", stream);
+    ++n;
+  }
+  // ...and handwritten edge streams around the decoder's move sizes and its
+  // bounds: overlapping offsets 1 and 7, offsets 8 and 16, ops ending exactly
+  // at the declared length, and each kind of malformed op.
+  const std::vector<std::pair<const char*, tc::Buffer>> edges = {
+      {"empty", Stream(0, {})},
+      {"offset1_run", Stream(65, {0 << 2, 'x', (64 - 4) << 2 | 2, 1, 0})},
+      {"offset7", Stream(27, {6 << 2, 'a', 'b', 'c', 'd', 'e', 'f', 'g',
+                              (20 - 4) << 2 | 2, 7, 0})},
+      {"offset8", Stream(72, {7 << 2, '0', '1', '2', '3', '4', '5', '6', '7',
+                              (64 - 4) << 2 | 2, 8, 0})},
+      {"offset16_exact_end",
+       Stream(80, {15 << 2, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j',
+                   'k', 'l', 'm', 'n', 'o', 'p', (64 - 4) << 2 | 2, 16, 0})},
+      {"long_copy", Stream(1004, {3 << 2, 'a', 'b', 'c', 'd',
+                                  ((1000 - 4) & 0x3f) << 2 | 1, (1000 - 4) >> 6,
+                                  4, 0})},
+      {"offset0", Stream(20, {3 << 2, 'a', 'b', 'c', 'd', 0 << 2 | 2, 0, 0})},
+      {"offset_past_start", Stream(20, {3 << 2, 'a', 'b', 'c', 'd', 0 << 2 | 2, 5, 0})},
+      {"copy_overrun", Stream(10, {3 << 2, 'a', 'b', 'c', 'd', (8 - 4) << 2 | 2, 4, 0})},
+      {"truncated_offset", Stream(20, {3 << 2, 'a', 'b', 'c', 'd', 0 << 2 | 2, 4})},
+      {"truncated_literal_len", Stream(300, {61 << 2, 0x2b})},
+      {"unknown_tag", Stream(4, {3})},
+  };
+  for (const auto& [name, stream] : edges) {
+    WriteFile(dir + "/lz77_edge_" + name, stream);
+    ++n;
   }
 
   std::printf("wrote %d corpus files to %s\n", n, dir.c_str());

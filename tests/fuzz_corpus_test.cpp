@@ -1,6 +1,6 @@
-// Always-on corpus replay: every checked-in fuzz input runs through both fuzz
-// targets under the normal test harness, so the parser/schema invariants the
-// fuzzers enforce are exercised in every CI run — clang and libFuzzer are
+// Always-on corpus replay: every checked-in fuzz input runs through every fuzz
+// target under the normal test harness, so the parser/schema/page-decoder
+// invariants the fuzzers enforce are exercised in every CI run — clang and libFuzzer are
 // only needed to EXTEND the corpus, not to check it.
 #include <algorithm>
 #include <filesystem>
@@ -53,6 +53,24 @@ TEST(FuzzCorpusTest, DeserializeSchemaReplaysClean) {
     std::vector<uint8_t> bytes = ReadAll(path);
     EXPECT_EQ(0, FuzzDeserializeSchema(bytes.data(), bytes.size()));
   }
+}
+
+TEST(FuzzCorpusTest, DecompressReplaysClean) {
+  for (const auto& path : CorpusFiles()) {
+    SCOPED_TRACE(path.string());
+    std::vector<uint8_t> bytes = ReadAll(path);
+    EXPECT_EQ(0, FuzzDecompress(bytes.data(), bytes.size()));
+  }
+}
+
+TEST(FuzzCorpusTest, DecompressHasStreamSeeds) {
+  // The decoder seeds must be present, or the replay above only ever sees
+  // text and schema blobs.
+  size_t streams = 0;
+  for (const auto& path : CorpusFiles()) {
+    if (path.filename().string().rfind("lz77_", 0) == 0) ++streams;
+  }
+  EXPECT_GE(streams, 10u);
 }
 
 TEST(FuzzCorpusTest, DeepNestingRejectedCleanly) {

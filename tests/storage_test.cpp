@@ -201,6 +201,60 @@ TEST(PagedFile, SelfDescribingOpenIgnoresCallerCodec) {
   EXPECT_EQ(rd->compression(), CompressionKind::kHeavy);
 }
 
+TEST(PagedFile, OpenRejectsTruncatedCompressedDataFile) {
+  // A compressed component whose data file lost its tail (a torn copy, a
+  // full disk) must fail to open with Corruption naming the file and the
+  // first page outside it, not with a short read at its first scan.
+  auto fs = MakeMemFileSystem();
+  const size_t kPage = 4096;
+  auto pf = PagedFile::Create(fs, "torn", kPage,
+                              GetCompressor(CompressionKind::kSnappy))
+                .ValueOrDie();
+  Rng rng(5);
+  for (int i = 0; i < 4; ++i) {
+    Buffer page(kPage);
+    for (auto& b : page) b = static_cast<uint8_t>('a' + rng.Uniform(4));
+    ASSERT_TRUE(pf->AppendPage(page.data()).ok());
+  }
+  ASSERT_TRUE(pf->Finish().ok());
+  ASSERT_TRUE(PagedFile::Open(fs, "torn", kPage, nullptr).ok());
+
+  uint64_t size = fs->FileSize("torn").ValueOrDie();
+  Buffer bytes(size);
+  ASSERT_TRUE(fs->Open("torn").ValueOrDie()->Read(0, size, bytes.data()).ok());
+  auto rewrite = [&](size_t keep) {
+    auto f = fs->Create("torn").ValueOrDie();
+    ASSERT_TRUE(f->Write(0, bytes.data(), keep).ok());
+  };
+  for (size_t keep : {size - 1, size / 2, size_t{0}}) {
+    SCOPED_TRACE(keep);
+    rewrite(keep);
+    auto rd = PagedFile::Open(fs, "torn", kPage, nullptr);
+    ASSERT_FALSE(rd.ok());
+    EXPECT_TRUE(rd.status().IsCorruption()) << rd.status().ToString();
+    EXPECT_NE(rd.status().ToString().find("torn"), std::string::npos);
+    EXPECT_NE(rd.status().ToString().find("page "), std::string::npos);
+  }
+  rewrite(size);
+  auto rd = PagedFile::Open(fs, "torn", kPage, nullptr).ValueOrDie();
+  Buffer out(kPage);
+  EXPECT_TRUE(rd->ReadPage(3, out.data()).ok());
+}
+
+TEST(PagedFile, OpenRejectsZeroLengthLafEntry) {
+  auto fs = MakeMemFileSystem();
+  auto f = fs->Create("zero").ValueOrDie();
+  Buffer data(100, 7);
+  ASSERT_TRUE(f->Write(0, data.data(), data.size()).ok());
+  ASSERT_TRUE(WriteLaf(fs.get(), "zero.laf", {{0, 50}, {50, 0}},
+                       CompressionKind::kSnappy)
+                  .ok());
+  auto rd = PagedFile::Open(fs, "zero", 4096, nullptr);
+  ASSERT_FALSE(rd.ok());
+  EXPECT_TRUE(rd.status().IsCorruption()) << rd.status().ToString();
+  EXPECT_NE(rd.status().ToString().find("page 1"), std::string::npos);
+}
+
 TEST(PagedFile, OpenWithoutLafIsUncompressedEvenIfCallerCompresses) {
   auto fs = MakeMemFileSystem();
   const size_t kPage = 4096;
