@@ -63,16 +63,26 @@ Result<std::unique_ptr<PagedFile>> PagedFile::Open(
     TC_ASSIGN_OR_RETURN(pf->laf_bytes_, pf->fs_->FileSize(LafPath(path)));
     pf->append_offset_ = pf->file_->Size();
     // A truncated data file must surface as corruption here, not as a short
-    // read on the first scan that reaches the missing page.
+    // read on the first scan that reaches the missing page. No intact page is
+    // longer than its codec's worst case, which also caps ReadPage's staging
+    // buffer at about one page.
+    const size_t max_length = pf->compressor_->MaxCompressedLength(page_size);
     for (size_t i = 0; i < pf->entries_.size(); ++i) {
       const LafEntry& e = pf->entries_[i];
-      if (e.length == 0 || e.offset > pf->append_offset_ ||
-          e.length > pf->append_offset_ - e.offset) {
+      std::string problem;
+      if (e.length == 0 || e.length > max_length) {
+        problem = "is not a possible length for a " +
+                  std::to_string(page_size) + "-byte page";
+      } else if (e.offset > pf->append_offset_ ||
+                 e.length > pf->append_offset_ - e.offset) {
+        problem = "lies outside the data file (" +
+                  std::to_string(pf->append_offset_) + " bytes)";
+      }
+      if (!problem.empty()) {
         return Status::Corruption(
             "paged file page " + std::to_string(i) + " (offset " +
             std::to_string(e.offset) + ", length " + std::to_string(e.length) +
-            ") lies outside the data file (" +
-            std::to_string(pf->append_offset_) + " bytes): " + path);
+            ") " + problem + ": " + path);
       }
     }
   } else {
@@ -141,7 +151,7 @@ Status PagedFile::ReadPage(uint32_t page_no, uint8_t* out) const {
   }
   // Compressed bytes are staged in a per-thread buffer that only grows, so a
   // miss does not allocate and zero-fill a fresh one. Open() bounds every
-  // entry's length by the data file's size.
+  // entry's length by the codec's worst case for one page.
   thread_local Buffer raw;
   if (raw.size() < e.length) raw.resize(e.length);
   TC_RETURN_IF_ERROR(file_->Read(e.offset, e.length, raw.data()));

@@ -30,6 +30,8 @@ class NoneCompressor final : public Compressor {
     return Status::OK();
   }
 
+  size_t MaxCompressedLength(size_t n) const override { return n; }
+
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,
                     size_t* out_size) const override {
     if (n > out_cap) return Status::Corruption("none: output buffer too small");
@@ -46,7 +48,8 @@ class NoneCompressor final : public Compressor {
 //   literal:   tag = (len-1) << 2 | 0 for len <= 60; tag 60<<2 means one extra
 //              length byte follows (len-1), tag 61<<2 means two bytes.
 //   copy:      tag = (len-4) << 2 | 2, followed by a 2-byte little-endian
-//              offset; 4 <= len <= 64, 1 <= offset < 65536.
+//              offset; 4 <= len <= 67 (the encoders emit at most 64),
+//              1 <= offset < 65536.
 //   long copy: tag & 3 == 1 (heavy codec only): one extra length byte,
 //              len = (((tag >> 2) | (extra << 6)) + 4) up to 16387, then the
 //              same 2-byte offset. The heavy stream is a superset of the
@@ -60,6 +63,15 @@ constexpr size_t kMaxLongCopyLen = 16387;  // 14-bit (len-4) + 4
 constexpr size_t kMaxOffset = 65535;
 constexpr size_t kMinMatch = 4;
 constexpr size_t kBlock = 60 * 1024;  // positions + 1 fit in uint16_t
+constexpr size_t kMaxVarintLen = 10;
+
+// Worst case of both LZ77 encoders: the length varint, plus per block one tag
+// byte per 60 literal bytes and one for the block's last literal run (a copy
+// op never outgrows the bytes it stands for, so it pays for the tag of the
+// literal run before it).
+size_t Lz77MaxCompressedLength(size_t n) {
+  return kMaxVarintLen + n + n / 60 + (n + kBlock - 1) / kBlock;
+}
 
 inline uint32_t Load32(const uint8_t* p) {
   uint32_t v;
@@ -133,12 +145,13 @@ inline void Move16(uint8_t* dst, const uint8_t* src) { std::memcpy(dst, src, 16)
 // One decoder for both homegrown streams; `allow_long` rejects the heavy
 // codec's long-copy op when decoding a snappy stream.
 //
-// Ops are decoded word-at-a-time: a short literal is one 16-byte move, and a
-// copy whose offset is at least 16 (8) repeats 16-byte (8-byte) moves, each
-// of which reads only bytes already written. Rounding an op up to whole
-// moves may write past the op's end; such slack writes are made only while
-// they stay inside [out, out + expected), and the next op overwrites them.
-// Copies with offset < 8 and ops near the end of the output stay byte-wise.
+// Ops are decoded word-at-a-time: a literal of at most 16 bytes is one
+// 16-byte move, and a copy whose offset is at least 16 (8) repeats 16-byte
+// (8-byte) moves, each of which reads only bytes already written. Rounding an
+// op up to whole moves may write past the op's end; such slack writes are
+// made only while they stay inside [out, out + expected), and the next op
+// overwrites them. Copies with offset < 8 and ops near the end of the output
+// stay byte-wise.
 Status DecodeLz77(const char* who, bool allow_long, const uint8_t* in, size_t n,
                   uint8_t* out, size_t out_cap, size_t* out_size) {
   const uint8_t* p = in;
@@ -151,39 +164,16 @@ Status DecodeLz77(const char* who, bool allow_long, const uint8_t* in, size_t n,
   uint8_t* op = out;
   uint8_t* const op_end = out + expected;
   while (p < limit) {
-    // Fast path for the ops that dominate real pages. With 17 input and 64
-    // output bytes left, a literal of at most 16 bytes or a short copy with
-    // offset >= 16 cannot overrun either buffer, so only the offset is
-    // checked; everything else takes the checked path below.
-    if (limit - p >= 17 && op_end - op >= 64) {
-      const uint8_t tag = *p;
-      if ((tag & 3) == 2) {
-        const size_t offset = static_cast<size_t>(p[1] | (p[2] << 8));
-        if (offset >= 16 && offset <= static_cast<size_t>(op - out)) {
-          const size_t len = (tag >> 2) + 4;
-          const uint8_t* src = op - offset;
-          Move16(op, src);  // most copies fit one move, the rest four
-          if (len > 16) {
-            Move16(op + 16, src + 16);
-            Move16(op + 32, src + 32);
-            Move16(op + 48, src + 48);
-          }
-          p += 3;
-          op += len;
-          continue;
-        }
-      } else if ((tag & 0xc3) == 0) {  // literal, (tag >> 2) < 16
-        const size_t len = (tag >> 2) + 1;
-        Move16(op, p + 1);
-        p += len + 1;
-        op += len;
-        continue;
-      }
-    }
     uint8_t tag = *p++;
     size_t room = static_cast<size_t>(op_end - op);
     if ((tag & 3) == 0) {  // literal
       size_t len = (tag >> 2) + 1;
+      if (len <= 16 && limit - p >= 16 && room >= 16) {
+        Move16(op, p);  // most literals are short: one move, slack overwritten
+        p += len;
+        op += len;
+        continue;
+      }
       if (len == 61) {
         if (p >= limit) return Corrupt(who, "truncated literal len");
         len = static_cast<size_t>(*p++) + 1;
@@ -271,6 +261,10 @@ class SnappyLikeCompressor final : public Compressor {
     return Status::OK();
   }
 
+  size_t MaxCompressedLength(size_t n) const override {
+    return Lz77MaxCompressedLength(n);
+  }
+
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,
                     size_t* out_size) const override {
     return DecodeLz77("snappy", /*allow_long=*/false, in, n, out, out_cap, out_size);
@@ -343,6 +337,10 @@ class HeavyCompressor final : public Compressor {
       block_start += block_len;
     }
     return Status::OK();
+  }
+
+  size_t MaxCompressedLength(size_t n) const override {
+    return Lz77MaxCompressedLength(n);
   }
 
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,
@@ -423,6 +421,10 @@ class ZstdCompressor final : public Compressor {
     return Status::OK();
   }
 
+  size_t MaxCompressedLength(size_t n) const override {
+    return ZSTD_compressBound(n);
+  }
+
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,
                     size_t* out_size) const override {
     size_t r = ZSTD_decompress(out, out_cap, in, n);
@@ -460,6 +462,13 @@ class Lz4Compressor final : public Compressor {
     }
     out->resize(old + static_cast<size_t>(r));
     return Status::OK();
+  }
+
+  size_t MaxCompressedLength(size_t n) const override {
+    // Compress() refuses inputs this large and appends nothing.
+    if (n > static_cast<size_t>(LZ4_MAX_INPUT_SIZE)) return 0;
+    return kMaxVarintLen +
+           static_cast<size_t>(LZ4_compressBound(static_cast<int>(n)));
   }
 
   Status Decompress(const uint8_t* in, size_t n, uint8_t* out, size_t out_cap,

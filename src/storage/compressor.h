@@ -47,6 +47,10 @@ class Compressor {
   /// Appends the compressed form of `in[0, n)` to `out`.
   virtual Status Compress(const uint8_t* in, size_t n, Buffer* out) const = 0;
 
+  /// An upper bound on the length Compress() appends for `n` input bytes. A
+  /// stored page longer than this for its page size cannot be intact.
+  virtual size_t MaxCompressedLength(size_t n) const = 0;
+
   /// Decompresses into `out[0, out_cap)`; `*out_size` receives the original
   /// length. Fails if the original data does not fit `out_cap`.
   virtual Status Decompress(const uint8_t* in, size_t n, uint8_t* out,

@@ -82,6 +82,37 @@ TEST_P(CompressorRoundTrip, PropertyRandomStructured) {
   }
 }
 
+TEST_P(CompressorRoundTrip, OutputWithinMaxCompressedLength) {
+  // PagedFile::Open rejects stored pages longer than this bound, so no input
+  // may compress past it: incompressible bytes, small alphabets (short
+  // matches between short literals), and 1-byte literals between 4-byte
+  // copies, at sizes around the 60-byte literal tag and the 60 KiB block.
+  auto c = GetCompressor(GetParam());
+  Rng rng(11);
+  for (size_t n : {0, 1, 7, 8, 59, 60, 61, 256, 257, 4096, 32768, 61440, 61441,
+                   70000}) {
+    std::vector<Buffer> inputs;
+    for (uint32_t alphabet : {2u, 4u, 256u}) {
+      Buffer b(n);
+      for (auto& x : b) x = static_cast<uint8_t>(rng.Uniform(alphabet));
+      inputs.push_back(std::move(b));
+    }
+    Buffer interleaved;
+    while (interleaved.size() < n) {
+      const uint8_t word[] = {'a', 'b', 'c', 'd', static_cast<uint8_t>(rng.Next())};
+      interleaved.insert(interleaved.end(), word, word + 5);
+    }
+    interleaved.resize(n);
+    inputs.push_back(std::move(interleaved));
+    for (const Buffer& input : inputs) {
+      Buffer compressed;
+      ASSERT_TRUE(c->Compress(input.data(), input.size(), &compressed).ok());
+      EXPECT_LE(compressed.size(), c->MaxCompressedLength(n)) << "n=" << n;
+      EXPECT_EQ(RoundTrip(*c, input), input) << "n=" << n;
+    }
+  }
+}
+
 std::vector<CompressionKind> AvailableKinds() {
   std::vector<CompressionKind> kinds = {CompressionKind::kNone,
                                         CompressionKind::kSnappy,
@@ -273,7 +304,7 @@ void PutLiteralOp(Buffer* s, const uint8_t* data, size_t len) {
   s->insert(s->end(), data, data + len);
 }
 
-// A snappy copy op (4 <= len <= 64) or, with `long_op`, the heavy codec's
+// A snappy copy op (4 <= len <= 67) or, with `long_op`, the heavy codec's
 // long-copy op (4 <= len <= 16387).
 void PutCopyOp(Buffer* s, size_t offset, size_t len, bool long_op) {
   if (long_op) {
@@ -331,26 +362,31 @@ void ExpectDecodesLikeReference(CompressionKind kind, const Buffer& stream) {
 
 TEST(Lz77Decoder, EveryShortOffsetAndLength) {
   // Offsets 1-20 straddle the byte-wise (< 8), 8-byte (8-15) and 16-byte
-  // (>= 16) move paths; lengths 4-64 cover one to four 16-byte moves. Each
-  // copy is decoded far from the end, ending within 64 bytes of it, and
-  // ending exactly at it.
+  // (>= 16) move paths; lengths 4-64 cover one to four 16-byte moves, and
+  // 65-67 are the short-copy tag's largest values, which the encoders never
+  // emit but a stream may hold (five 16-byte moves). Each copy is decoded far
+  // from the end, ending within 64 bytes of it, and ending exactly at it, in
+  // both the short-copy form and the heavy codec's long-copy form.
   Rng rng(29);
   for (CompressionKind kind : {CompressionKind::kSnappy, CompressionKind::kHeavy}) {
-    const bool long_op = kind == CompressionKind::kHeavy;
-    for (size_t offset = 1; offset <= 20; ++offset) {
-      for (size_t len = 4; len <= 64; ++len) {
-        for (size_t tail : {size_t{0}, size_t{1}, size_t{7}, size_t{15},
-                            size_t{33}, size_t{63}, size_t{200}}) {
-          SCOPED_TRACE(::testing::Message() << CompressionKindName(kind)
-                                            << " offset=" << offset << " len=" << len
-                                            << " tail=" << tail);
-          Buffer head = RandomBytes(&rng, 24);
-          Buffer rest = RandomBytes(&rng, tail);
-          Buffer body;
-          PutLiteralOp(&body, head.data(), head.size());
-          PutCopyOp(&body, offset, len, long_op);
-          if (tail > 0) PutLiteralOp(&body, rest.data(), rest.size());
-          ExpectDecodesLikeReference(kind, WithLength(24 + len + tail, body));
+    for (bool long_op : {false, true}) {
+      if (long_op && kind != CompressionKind::kHeavy) continue;
+      for (size_t offset = 1; offset <= 20; ++offset) {
+        for (size_t len = 4; len <= 67; ++len) {
+          for (size_t tail : {size_t{0}, size_t{1}, size_t{7}, size_t{15},
+                              size_t{33}, size_t{63}, size_t{200}}) {
+            SCOPED_TRACE(::testing::Message()
+                         << CompressionKindName(kind) << " long_op=" << long_op
+                         << " offset=" << offset << " len=" << len
+                         << " tail=" << tail);
+            Buffer head = RandomBytes(&rng, 24);
+            Buffer rest = RandomBytes(&rng, tail);
+            Buffer body;
+            PutLiteralOp(&body, head.data(), head.size());
+            PutCopyOp(&body, offset, len, long_op);
+            if (tail > 0) PutLiteralOp(&body, rest.data(), rest.size());
+            ExpectDecodesLikeReference(kind, WithLength(24 + len + tail, body));
+          }
         }
       }
     }
@@ -475,8 +511,8 @@ TEST(Lz77Decoder, RejectsEveryMalformedOp) {
   // the op would produce if it were accepted, so only the op's own check can
   // reject it (not the final length match).
   Rng rng(47);
-  // Two prefixes: a short one (ops decoded on the checked path) and one with
-  // ample room left (ops first offered to the fast path).
+  // Two prefixes: a short one (ops decoded byte-wise near the start) and one
+  // with ample room left (ops offered to the word moves).
   for (size_t prefix : {size_t{8}, size_t{300}}) {
     Buffer head = RandomBytes(&rng, prefix);
     Buffer lit;
@@ -523,14 +559,19 @@ TEST(Lz77Decoder, RejectsEveryMalformedOp) {
 TEST(Lz77Decoder, RejectsOpsThatOverrunTheDeclaredLength) {
   // Copies and literals that would end one byte past the declared length,
   // both near the start of a long output and at its end, and a declared
-  // length larger than the output buffer.
+  // length larger than the output buffer. A copy that overruns is also
+  // followed by a literal, which must not be decoded past the end either.
   Rng rng(53);
   for (CompressionKind kind : {CompressionKind::kSnappy, CompressionKind::kHeavy}) {
-    for (size_t len : {4, 16, 17, 64}) {
+    for (size_t len : {4, 16, 17, 64, 65, 66, 67}) {
+      SCOPED_TRACE(::testing::Message() << CompressionKindName(kind) << " len=" << len);
       Buffer head = RandomBytes(&rng, 32);
       Buffer body;
       PutLiteralOp(&body, head.data(), head.size());
       PutCopyOp(&body, 16, len, /*long_op=*/false);
+      ExpectRejected(kind, WithLength(32 + len - 1, body), 32 + len - 1);
+      Buffer trailer = RandomBytes(&rng, 16);
+      PutLiteralOp(&body, trailer.data(), trailer.size());
       ExpectRejected(kind, WithLength(32 + len - 1, body), 32 + len - 1);
 
       Buffer lit = RandomBytes(&rng, len);

@@ -153,8 +153,9 @@ int main(int argc, char** argv) {
     ++n;
   }
   // ...and handwritten edge streams around the decoder's move sizes and its
-  // bounds: overlapping offsets 1 and 7, offsets 8 and 16, ops ending exactly
-  // at the declared length, and each kind of malformed op.
+  // bounds: overlapping offsets 1 and 7, offsets 8 and 16, short copies of
+  // 65-67 bytes (valid, but never emitted by the encoders), ops ending
+  // exactly at the declared length, and each kind of malformed op.
   const std::vector<std::pair<const char*, tc::Buffer>> edges = {
       {"empty", Stream(0, {})},
       {"offset1_run", Stream(65, {0 << 2, 'x', (64 - 4) << 2 | 2, 1, 0})},
@@ -165,6 +166,22 @@ int main(int argc, char** argv) {
       {"offset16_exact_end",
        Stream(80, {15 << 2, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j',
                    'k', 'l', 'm', 'n', 'o', 'p', (64 - 4) << 2 | 2, 16, 0})},
+      {"copy_len67",
+       Stream(99, {15 << 2, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j',
+                   'k', 'l', 'm', 'n', 'o', 'p', (67 - 4) << 2 | 2, 16, 0,
+                   15 << 2, 'q', 'r', 's', 't', 'u', 'v', 'w', 'x', 'y', 'z',
+                   '0', '1', '2', '3', '4', '5'})},
+      {"copy_len65_offset20",
+       Stream(105, {19 << 2, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j',
+                    'k', 'l', 'm', 'n', 'o', 'p', 'q', 'r', 's', 't',
+                    (65 - 4) << 2 | 2, 20, 0, 19 << 2, 'A', 'B', 'C', 'D', 'E',
+                    'F', 'G', 'H', 'I', 'J', 'K', 'L', 'M', 'N', 'O', 'P', 'Q',
+                    'R', 'S', 'T'})},
+      {"copy_len67_overrun",
+       Stream(80, {15 << 2, 'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h', 'i', 'j',
+                   'k', 'l', 'm', 'n', 'o', 'p', (67 - 4) << 2 | 2, 16, 0,
+                   13 << 2, 'q', 'r', 's', 't', 'u', 'v', 'w', 'x', 'y', 'z',
+                   '0', '1', '2', '3'})},
       {"long_copy", Stream(1004, {3 << 2, 'a', 'b', 'c', 'd',
                                   ((1000 - 4) & 0x3f) << 2 | 1, (1000 - 4) >> 6,
                                   4, 0})},

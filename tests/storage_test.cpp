@@ -255,6 +255,33 @@ TEST(PagedFile, OpenRejectsZeroLengthLafEntry) {
   EXPECT_NE(rd.status().ToString().find("page 1"), std::string::npos);
 }
 
+TEST(PagedFile, OpenRejectsLafEntryLongerThanAnyCompressedPage) {
+  // An entry inside the data file but longer than the codec's worst case for
+  // one page cannot be intact; the worst case itself is accepted.
+  auto fs = MakeMemFileSystem();
+  const size_t kPage = 4096;
+  const size_t kMax =
+      GetCompressor(CompressionKind::kSnappy)->MaxCompressedLength(kPage);
+  auto f = fs->Create("long").ValueOrDie();
+  Buffer data(3 * kMax, 7);
+  ASSERT_TRUE(f->Write(0, data.data(), data.size()).ok());
+  ASSERT_TRUE(WriteLaf(fs.get(), "long.laf",
+                       {{0, static_cast<uint32_t>(kMax)},
+                        {kMax, static_cast<uint32_t>(kMax)}},
+                       CompressionKind::kSnappy)
+                  .ok());
+  ASSERT_TRUE(PagedFile::Open(fs, "long", kPage, nullptr).ok());
+  ASSERT_TRUE(WriteLaf(fs.get(), "long.laf",
+                       {{0, 50}, {50, static_cast<uint32_t>(kMax + 1)}},
+                       CompressionKind::kSnappy)
+                  .ok());
+  auto rd = PagedFile::Open(fs, "long", kPage, nullptr);
+  ASSERT_FALSE(rd.ok());
+  EXPECT_TRUE(rd.status().IsCorruption()) << rd.status().ToString();
+  EXPECT_NE(rd.status().ToString().find("page 1"), std::string::npos);
+  EXPECT_NE(rd.status().ToString().find("long"), std::string::npos);
+}
+
 TEST(PagedFile, OpenWithoutLafIsUncompressedEvenIfCallerCompresses) {
   auto fs = MakeMemFileSystem();
   const size_t kPage = 4096;
