@@ -13,8 +13,8 @@ Result<std::unique_ptr<ClusterHarness>> ClusterHarness::Create(
   h->topology_ = topology;
   // One bounded executor for ALL partitions' background work — flush builds
   // and (concurrent, disjoint) merges: feeds hand rewrites off instead of
-  // performing them inline, and total background parallelism tracks the
-  // hardware, not the feed count.
+  // performing them on their own threads, and total background parallelism
+  // tracks the hardware, not the feed count.
   h->executor_ = std::make_unique<TaskPool>(topology.executor_threads);
   options.merge_pool = h->executor_.get();
   if (options.arbiter == nullptr) {
@@ -91,8 +91,8 @@ Status ClusterHarness::IngestParallel(const std::string& workload,
   for (const Status& st : statuses) {
     if (!st.ok()) return st;
   }
-  // Settle the scheduled merges so callers time (and observe) a quiesced
-  // dataset, like the inline-merge path always did.
+  // Settle the scheduled work so callers time (and observe) a quiesced
+  // dataset, as a pool-less dataset's flushes always leave it.
   return dataset_->WaitForBackgroundWork();
 }
 

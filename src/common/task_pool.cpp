@@ -15,7 +15,12 @@ TaskPool::TaskPool(size_t threads) {
   }
 }
 
+std::unique_ptr<TaskPool> TaskPool::Inline() {
+  return std::unique_ptr<TaskPool>(new TaskPool(InlineTag{}));
+}
+
 TaskPool::~TaskPool() {
+  RunUntilIdle();  // an inline pool has no workers to drain its queue
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
@@ -36,6 +41,27 @@ void TaskPool::Submit(std::function<void()> fn, TaskPriority priority) {
   work_cv_.notify_one();
 }
 
+bool TaskPool::PopLocked(std::function<void()>* task) {
+  std::deque<std::function<void()>>& q =
+      !high_queue_.empty() ? high_queue_ : queue_;
+  if (q.empty()) return false;
+  *task = std::move(q.front());
+  q.pop_front();
+  return true;
+}
+
+void TaskPool::RunUntilIdle() {
+  if (!is_inline()) return;
+  while (true) {
+    std::function<void()> task;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!PopLocked(&task)) return;
+    }
+    task();
+  }
+}
+
 void TaskPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
@@ -44,11 +70,8 @@ void TaskPool::WorkerLoop() {
     });
     // Drain both queues even when stopping: a discarded task would leave its
     // owner's TaskGroup outstanding count nonzero forever.
-    std::deque<std::function<void()>>& q =
-        !high_queue_.empty() ? high_queue_ : queue_;
-    if (q.empty()) return;
-    std::function<void()> task = std::move(q.front());
-    q.pop_front();
+    std::function<void()> task;
+    if (!PopLocked(&task)) return;
     lock.unlock();
     task();
     lock.lock();
@@ -90,6 +113,7 @@ void TaskGroup::Cancel() {
 }
 
 void TaskGroup::Wait() {
+  pool_->RunUntilIdle();
   std::unique_lock<std::mutex> lock(shared_->mu);
   shared_->cv.wait(lock, [this] { return shared_->outstanding == 0; });
 }

@@ -1,9 +1,10 @@
 // Shared background executor: a fixed pool of worker threads that LSM trees
 // submit flush/merge work to. One pool serves every partition of a cluster
 // node (ROADMAP "Parallelism"), so background rewrites are bounded by the
-// machine's core count instead of exploding thread-per-feed. Trees without a
-// pool run merges inline on the writer thread (deterministic; what unit tests
-// use).
+// machine's core count instead of exploding thread-per-feed. An inline pool
+// (no workers) runs the same tasks on whichever thread drains it: a tree
+// given no pool owns one, so its flush builds and merges take exactly the
+// pooled code path, deterministically, on the writer thread.
 //
 // Completion and cancellation are per-owner, not pool-wide: each owner (e.g.
 // one LsmTree) funnels its submissions through a TaskGroup, which lets it
@@ -34,6 +35,9 @@ class TaskPool {
  public:
   /// `threads == 0` sizes the pool to the hardware (DefaultThreadCount).
   explicit TaskPool(size_t threads = 0);
+  /// A pool with no workers: Submit only queues, and the queue runs on the
+  /// caller of RunUntilIdle (TaskGroup::Wait and the destructor drain too).
+  static std::unique_ptr<TaskPool> Inline();
   /// Runs every queued task to completion, then joins the workers. Submitted
   /// tasks must not outlive the state they capture: owners of that state
   /// (e.g. LsmTree) wait for their own tasks — via TaskGroup — before
@@ -49,13 +53,25 @@ class TaskPool {
   void Submit(std::function<void()> fn,
               TaskPriority priority = TaskPriority::kNormal);
 
+  /// Inline pool: runs queued tasks on the caller — high lane first — until
+  /// both lanes are empty, including tasks that running tasks submit. A pool
+  /// with workers returns at once (its workers drain the queue).
+  void RunUntilIdle();
+
   size_t thread_count() const { return workers_.size(); }
+  bool is_inline() const { return workers_.empty(); }
 
   /// max(1, std::thread::hardware_concurrency()) — the nproc-aware default.
   static size_t DefaultThreadCount();
 
  private:
+  struct InlineTag {};
+  explicit TaskPool(InlineTag) {}
+
   void WorkerLoop();
+  // Pops the next task, high lane first, into `*task`; false when both lanes
+  // are empty. Requires mu_.
+  bool PopLocked(std::function<void()>* task);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers wait for tasks
@@ -94,7 +110,8 @@ class TaskGroup {
   void Cancel();
 
   /// Blocks until every task submitted so far (including tasks submitted by
-  /// other tasks while waiting) has finished or been skipped.
+  /// other tasks while waiting) has finished or been skipped. On an inline
+  /// pool the caller first runs the queue itself.
   void Wait();
 
   size_t outstanding() const;

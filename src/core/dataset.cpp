@@ -213,6 +213,17 @@ Status DatasetPartition::Insert(const AdmValue& record) {
 
 Status DatasetPartition::InsertBatch(Span<const AdmValue> records,
                                      BatchErrors* errors) {
+  return EncodeAndApply(records, errors, &DatasetPartition::InsertEncodedBatch);
+}
+
+Status DatasetPartition::UpsertBatch(Span<const AdmValue> records,
+                                     BatchErrors* errors) {
+  return EncodeAndApply(records, errors, &DatasetPartition::UpsertEncodedBatch);
+}
+
+Status DatasetPartition::EncodeAndApply(Span<const AdmValue> records,
+                                        BatchErrors* errors,
+                                        ApplyEncoded apply) {
   // Encode outside the writer lock — pure per-record work that concurrent
   // feed threads can overlap; only the apply step serializes.
   std::vector<EncodedWrite> writes;
@@ -235,7 +246,7 @@ Status DatasetPartition::InsertBatch(Span<const AdmValue> records,
     writes.push_back(std::move(w));
   }
   BatchErrors apply_errors;
-  Status st = InsertEncodedBatch(writes, &apply_errors);
+  Status st = (this->*apply)(writes, &apply_errors, nullptr);
   for (auto& [pos, rec_st] : apply_errors) {
     if (errors != nullptr) errors->emplace_back(writes[pos].index, rec_st);
     if (first_error.ok()) first_error = rec_st;
@@ -288,39 +299,6 @@ Status DatasetPartition::InsertEncodedBatch(Span<EncodedWrite> writes,
       if (first_error.ok()) first_error = rec_st;
     }
   }
-  return first_error;
-}
-
-Status DatasetPartition::UpsertBatch(Span<const AdmValue> records,
-                                     BatchErrors* errors) {
-  // InsertBatch's shape: encode outside the writer lock, apply in one
-  // critical section through the encoded back end.
-  std::vector<EncodedWrite> writes;
-  writes.reserve(records.size());
-  Status first_error;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EncodedWrite w;
-    w.index = i;
-    w.record = &records[i];
-    const AdmValue* pk_field = records[i].FindField(opts_->type.primary_key_field);
-    Status st = pk_field == nullptr
-                    ? Status::InvalidArgument("record missing primary key")
-                    : EncodeRecord(records[i], &w.payload);
-    if (!st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, st);
-      if (first_error.ok()) first_error = st;
-      continue;
-    }
-    w.pk = pk_field->int_value();
-    writes.push_back(std::move(w));
-  }
-  BatchErrors apply_errors;
-  Status st = UpsertEncodedBatch(writes, &apply_errors);
-  for (auto& [pos, rec_st] : apply_errors) {
-    if (errors != nullptr) errors->emplace_back(writes[pos].index, rec_st);
-    if (first_error.ok()) first_error = rec_st;
-  }
-  if (first_error.ok()) first_error = st;
   return first_error;
 }
 
@@ -405,32 +383,11 @@ Status DatasetPartition::DeleteBatch(Span<const int64_t> pks, BatchErrors* error
 }
 
 Status DatasetPartition::Upsert(const AdmValue& record) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  const AdmValue* pk_field = record.FindField(opts_->type.primary_key_field);
-  if (pk_field == nullptr) return Status::InvalidArgument("record missing primary key");
-  int64_t pk = pk_field->int_value();
-  Buffer payload;
-  TC_RETURN_IF_ERROR(EncodeRecord(record, &payload));
-  std::optional<Buffer> old;
-  TC_RETURN_IF_ERROR(primary_->Upsert(
-      BtreeKey{pk, 0},
-      std::string_view(reinterpret_cast<const char*>(payload.data()),
-                       payload.size()),
-      &old));
-  if (pk_index_ != nullptr) {
-    TC_RETURN_IF_ERROR(pk_index_->Upsert(BtreeKey{pk, 0}, {}, nullptr));
-  }
-  return MaintainIndexesOnWrite(pk, record, old, /*is_delete=*/false);
+  return UpsertBatch(SingletonSpan<const AdmValue>(record));
 }
 
 Status DatasetPartition::Delete(int64_t pk) {
-  std::lock_guard<std::mutex> lock(write_mu_);
-  std::optional<Buffer> old;
-  TC_RETURN_IF_ERROR(primary_->Delete(BtreeKey{pk, 0}, &old));
-  if (pk_index_ != nullptr) {
-    TC_RETURN_IF_ERROR(pk_index_->Delete(BtreeKey{pk, 0}, nullptr));
-  }
-  return MaintainIndexesOnWrite(pk, AdmValue::Object(), old, /*is_delete=*/true);
+  return DeleteBatch(SingletonSpan<const int64_t>(pk));
 }
 
 PartitionReadView DatasetPartition::AcquireReadView() const {
@@ -535,6 +492,18 @@ Status Dataset::Insert(const AdmValue& record) {
 }
 
 Status Dataset::InsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
+  return PartitionAndApply(records, errors,
+                           &DatasetPartition::InsertEncodedBatch);
+}
+
+Status Dataset::UpsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
+  return PartitionAndApply(records, errors,
+                           &DatasetPartition::UpsertEncodedBatch);
+}
+
+Status Dataset::PartitionAndApply(Span<const AdmValue> records,
+                                  BatchErrors* errors,
+                                  DatasetPartition::ApplyEncoded apply) {
   // Hash-partition + encode up front (no locks), then one apply round per
   // touched partition. Per-partition buckets keep submission order, so
   // records for the same key apply in the order the caller gave them.
@@ -560,41 +529,7 @@ Status Dataset::InsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
   for (size_t p = 0; p < buckets.size(); ++p) {
     if (buckets[p].empty()) continue;
     BatchErrors part_errors;
-    Status st = partitions_[p]->InsertEncodedBatch(buckets[p], &part_errors);
-    for (auto& [pos, rec_st] : part_errors) {
-      if (errors != nullptr) errors->emplace_back(buckets[p][pos].index, rec_st);
-    }
-    if (first_error.ok() && !st.ok()) first_error = st;
-  }
-  return first_error;
-}
-
-Status Dataset::UpsertBatch(Span<const AdmValue> records, BatchErrors* errors) {
-  // InsertBatch's front end with the upsert back end: hash-partition +
-  // encode without locks, one apply round per touched partition.
-  std::vector<std::vector<EncodedWrite>> buckets(partitions_.size());
-  Status first_error;
-  for (size_t i = 0; i < records.size(); ++i) {
-    EncodedWrite w;
-    w.index = i;
-    w.record = &records[i];
-    auto pk = PrimaryKeyOf(records[i]);
-    Status st = pk.ok() ? Status::OK() : pk.status();
-    if (st.ok()) {
-      w.pk = pk.value();
-      st = partitions_[PartitionOf(w.pk)]->EncodeRecord(records[i], &w.payload);
-    }
-    if (!st.ok()) {
-      if (errors != nullptr) errors->emplace_back(i, st);
-      if (first_error.ok()) first_error = st;
-      continue;
-    }
-    buckets[PartitionOf(w.pk)].push_back(std::move(w));
-  }
-  for (size_t p = 0; p < buckets.size(); ++p) {
-    if (buckets[p].empty()) continue;
-    BatchErrors part_errors;
-    Status st = partitions_[p]->UpsertEncodedBatch(buckets[p], &part_errors);
+    Status st = (partitions_[p].get()->*apply)(buckets[p], &part_errors, nullptr);
     for (auto& [pos, rec_st] : part_errors) {
       if (errors != nullptr) errors->emplace_back(buckets[p][pos].index, rec_st);
     }

@@ -116,9 +116,10 @@ struct DatasetOptions {
   /// Name of a top-level bigint field to index (paper §4.4.5), empty = none.
   std::string secondary_index_field;
   /// Shared background executor for LSM merges AND flush builds across every
-  /// partition's trees (not owned; must outlive the dataset). Null = inline
-  /// background work on the writer thread — deterministic, what unit tests
-  /// use. ClusterHarness wires its nproc-sized pool here. The per-tree merge
+  /// partition's trees (not owned; must outlive the dataset). Null = each
+  /// tree runs the same jobs on an inline pool drained by its writers —
+  /// deterministic, what unit tests use. ClusterHarness wires its
+  /// nproc-sized pool here. The per-tree merge
   /// concurrency cap and the pooled-flush backpressure bound ride in
   /// `merge.max_concurrent_merges` / `merge.max_pending_flush_builds`
   /// (TC_MERGE_CONCURRENT / TC_FLUSH_PENDING).
@@ -146,10 +147,16 @@ class DatasetPartition {
   static Result<std::unique_ptr<DatasetPartition>> Open(const DatasetOptions* opts,
                                                         int partition_id);
 
+  /// Single-record writes are batches of one (InsertBatch, UpsertBatch,
+  /// DeleteBatch): there is exactly one write path per operation.
   Status Insert(const AdmValue& record);
   Status Upsert(const AdmValue& record);
   Status Delete(int64_t pk);
   Result<std::optional<AdmValue>> Get(int64_t pk);
+
+  /// A batch back end: InsertEncodedBatch or UpsertEncodedBatch.
+  using ApplyEncoded = Status (DatasetPartition::*)(Span<EncodedWrite>,
+                                                     BatchErrors*, bool*);
 
   /// Batched insert into THIS partition (every record must hash here when
   /// routed through a Dataset; direct callers just own the whole batch).
@@ -199,8 +206,8 @@ class DatasetPartition {
                                                   int64_t lo, int64_t hi) const;
 
   Status Flush();
-  /// Drains scheduled background merges on every tree of this partition;
-  /// returns the first sticky background error. No-op without a merge pool.
+  /// Drains scheduled background work (flush builds and merges) on every
+  /// tree of this partition; returns the first sticky background error.
   Status WaitForBackgroundWork();
 
   /// Encodes a record in this partition's storage format (uncompacted for
@@ -229,6 +236,11 @@ class DatasetPartition {
  private:
   DatasetPartition() = default;
 
+  // The front end shared by InsertBatch and UpsertBatch: encodes outside
+  // the writer lock, applies the encodable records through `apply`, and
+  // reports every failure by batch position.
+  Status EncodeAndApply(Span<const AdmValue> records, BatchErrors* errors,
+                        ApplyEncoded apply);
   Status MaintainIndexesOnWrite(int64_t pk, const AdmValue& record,
                                 const std::optional<Buffer>& old_payload,
                                 bool is_delete);
@@ -316,6 +328,12 @@ class Dataset {
 
  private:
   Dataset() = default;
+
+  // The front end shared by InsertBatch and UpsertBatch: hash-partitions and
+  // encodes without locks, then applies each touched partition's records
+  // through `apply`, remapping errors to batch positions.
+  Status PartitionAndApply(Span<const AdmValue> records, BatchErrors* errors,
+                           DatasetPartition::ApplyEncoded apply);
 
   DatasetOptions opts_;
   std::vector<std::unique_ptr<DatasetPartition>> partitions_;

@@ -135,7 +135,7 @@ LsmTree::ReadView::~ReadView() {
 Result<std::optional<Buffer>> LsmTree::ReadView::Get(const BtreeKey& key) const {
   counters_->point_lookups.fetch_add(1, std::memory_order_relaxed);
   // Generations newest first: the live one, then sealed generations whose
-  // pooled flush build has not installed yet.
+  // flush build has not installed yet.
   std::optional<MemTable::ScanEntry> hit = mem_->Find(key);
   if (!hit.has_value()) {
     for (const auto& mem : pending_mems_) {
@@ -245,6 +245,16 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
       std::max<size_t>(1, tree->opts_.max_concurrent_merges);
   tree->opts_.max_pending_flush_builds =
       std::max<size_t>(1, tree->opts_.max_pending_flush_builds);
+  // No pool given: the tree owns an inline one that its writers drain, so
+  // flush builds and merges take the same path with or without a pool. The
+  // groups exist before any early return — the destructor waits on them.
+  TaskPool*& pool = tree->opts_.merge_pool;
+  if (pool == nullptr) {
+    tree->inline_pool_ = TaskPool::Inline();
+    pool = tree->inline_pool_.get();
+  }
+  tree->flush_jobs_ = std::make_unique<TaskGroup>(pool);
+  tree->merge_jobs_ = std::make_unique<TaskGroup>(pool);
   tree->compressor_ = GetCompressor(tree->opts_.compression);
   tree->transformer_ = tree->opts_.transformer != nullptr ? tree->opts_.transformer
                                                           : &tree->identity_;
@@ -261,10 +271,6 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   tree->reclaimer_ = std::make_shared<ComponentReclaimer>(tree->opts_.fs,
                                                           tree->opts_.cache);
   tree->counters_ = std::make_shared<LsmReadCounters>();
-  if (tree->opts_.merge_pool != nullptr) {
-    tree->flush_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
-    tree->merge_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
-  }
   TC_RETURN_IF_ERROR(tree->opts_.fs->CreateDir(tree->opts_.dir));
   TC_RETURN_IF_ERROR(tree->RecoverComponents());
   // Reload the newest persisted schema BEFORE replaying the WAL: replayed
@@ -276,8 +282,8 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     TC_RETURN_IF_ERROR(tree->ReplayWal());
   }
   if (tree->opts_.arbiter != nullptr) {
-    // Register AFTER recovery: the replay flush above ran under the plain
-    // inline path, so a replaying tree never dispatches cross-tree victims.
+    // Register AFTER recovery: the replay flush above ran unregistered, so a
+    // replaying tree never dispatches cross-tree victims.
     LsmTree* raw = tree.get();
     tree->arbiter_reg_ = tree->opts_.arbiter->Register(
         tree->opts_.name, tree->opts_.arbiter_floor_bytes,
@@ -301,16 +307,14 @@ LsmTree::~LsmTree() {
   // for the next Open to replay. WAL-less trees (the pk/secondary indexes)
   // instead DRAIN their queued builds, so a completed Flush() is never lost
   // on clean teardown — exactly the pre-pipeline guarantee.
-  if (merge_jobs_ != nullptr) {
-    merge_jobs_->Cancel();
-    if (opts_.use_wal) flush_jobs_->Cancel();
-    // Drained flush builds may install and cascade-schedule merges; those
-    // land in the canceled merge group and run as skips, so wait for the
-    // flush group first and the merge group (which only ever shrinks after
-    // that) second.
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  merge_jobs_->Cancel();
+  if (opts_.use_wal) flush_jobs_->Cancel();
+  // Drained flush builds may install and cascade-schedule merges; those
+  // land in the canceled merge group and run as skips, so wait for the
+  // flush group first and the merge group (which only ever shrinks after
+  // that) second.
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   components_.clear();
   flush_queue_.clear();
   mem_.reset();
@@ -376,10 +380,11 @@ Status LsmTree::RecoverComponents() {
 
 Status LsmTree::ReplayWal() {
   std::lock_guard<std::mutex> wlock(write_mu_);
-  // Collect the log segments: the base segment plus any rotated segments a
-  // crashed (or torn-down) predecessor left behind pooled flush builds that
-  // never installed. Replaying them in rotation order restores every
-  // generation in write order.
+  // Collect the log segments: the base segment plus every rotated one. Each
+  // flush rotates the live segment, and a crashed (or torn-down)
+  // predecessor leaves the segments of generations whose builds never
+  // installed. Replaying them in rotation order restores every generation
+  // in write order.
   std::string base_name = opts_.name + ".wal";
   TC_ASSIGN_OR_RETURN(auto files, opts_.fs->List(opts_.dir, base_name));
   std::vector<std::pair<uint64_t, std::string>> segments;
@@ -429,11 +434,14 @@ Status LsmTree::ReplayWal() {
     TC_ASSIGN_OR_RETURN(auto wal, WriteAheadLog::Open(opts_.fs, seg.second, 0));
     TC_RETURN_IF_ERROR(wal->Replay(apply));
   }
-  // Flush the restored in-memory component (paper §3.1.2) — synchronously,
-  // so every replayed segment is durable as a component before it is
-  // dropped and the fresh base segment opens.
+  // Flush the restored in-memory component (paper §3.1.2) and wait for its
+  // build, so every replayed segment is durable as a component before it is
+  // dropped and the fresh base segment opens. wal_ is not open yet, so the
+  // flush rotates nothing.
   if (!mem_->empty()) {
-    TC_RETURN_IF_ERROR(FlushMemtableInline());
+    TC_RETURN_IF_ERROR(FlushLocked());
+    flush_jobs_->Wait();
+    TC_RETURN_IF_ERROR(BackgroundError());
   }
   for (const auto& seg : segments) {
     TC_RETURN_IF_ERROR(opts_.fs->Delete(seg.second));
@@ -538,8 +546,14 @@ Status LsmTree::UpsertBatch(Span<const MemPutOp> ops,
   for (size_t i = 0; i < ops.size(); ++i) {
     const MemPutOp& op = ops[i];
     std::optional<Buffer> old;
-    const MemTable::Entry* mem_hit = mem_->Get(op.key);  // writer-side, no copy
+    // Writer-side pointer read (no copy): we hold write_mu_, so nothing else
+    // mutates the live generation — the same reasoning the flush swap uses.
+    const MemTable::Entry* mem_hit = mem_->Get(op.key);
     if (mem_hit == nullptr) {
+      // Old-version capture is gated on capture_old_versions wherever the
+      // previous version lives — pending flush queue or disk — so the old_out
+      // contract does not depend on build timing. Trees that never capture
+      // (e.g. the pk index) skip both probes entirely.
       if (opts_.capture_old_versions) {
         TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(op.key));
       }
@@ -577,7 +591,8 @@ Status LsmTree::DeleteBatch(Span<const BtreeKey> keys,
       if (opts_.capture_old_versions) {
         TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(keys[i]));
       }
-      // Delete's miss path ALWAYS assigns (nullopt included), as Delete does.
+      // Unlike Upsert, Delete's miss path ALWAYS assigns (nullopt included)
+      // — the historical contract.
       if (old_out != nullptr) (*old_out)[i] = old;
     } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
       (*old_out)[i] = mem_hit->payload;
@@ -589,53 +604,22 @@ Status LsmTree::DeleteBatch(Span<const BtreeKey> keys,
 
 Status LsmTree::Upsert(const BtreeKey& key, std::string_view payload,
                        std::optional<Buffer>* old_out) {
-  std::lock_guard<std::mutex> wlock(write_mu_);
-  TC_RETURN_IF_ERROR(BackgroundError());
-  if (wal_ != nullptr) {
-    auto lsn = wal_->Append(WalOp::kPut, key, payload);
-    if (!lsn.ok()) return lsn.status();
+  MemPutOp one{key, payload};
+  if (old_out == nullptr) {
+    return UpsertBatch(SingletonSpan<const MemPutOp>(one));
   }
-  std::optional<Buffer> old;
-  // Writer-side pointer read (no copy): we hold write_mu_, so nothing else
-  // mutates the live generation — the same reasoning the flush swap uses.
-  const MemTable::Entry* mem_hit = mem_->Get(key);
-  if (mem_hit == nullptr) {
-    // Old-version capture is gated on capture_old_versions wherever the
-    // previous version lives — pending flush queue or disk — so the old_out
-    // contract does not depend on build timing. Trees that never capture
-    // (e.g. the pk index) skip both probes entirely.
-    if (opts_.capture_old_versions) {
-      TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(key));
-    }
-    if (old_out != nullptr && old.has_value()) *old_out = old;
-  } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
-    *old_out = mem_hit->payload;
-  }
-  mem_->Put(key, Buffer(payload.begin(), payload.end()), std::move(old));
-  return MaybeFlushPostWrite();
+  std::vector<std::optional<Buffer>> olds;
+  TC_RETURN_IF_ERROR(UpsertBatch(SingletonSpan<const MemPutOp>(one), &olds));
+  if (olds[0].has_value()) *old_out = std::move(olds[0]);
+  return Status::OK();
 }
 
 Status LsmTree::Delete(const BtreeKey& key, std::optional<Buffer>* old_out) {
-  std::lock_guard<std::mutex> wlock(write_mu_);
-  TC_RETURN_IF_ERROR(BackgroundError());
-  if (wal_ != nullptr) {
-    auto lsn = wal_->Append(WalOp::kDelete, key, {});
-    if (!lsn.ok()) return lsn.status();
-  }
-  std::optional<Buffer> old;
-  const MemTable::Entry* mem_hit = mem_->Get(key);  // writer-side, no copy
-  if (mem_hit == nullptr) {
-    if (opts_.capture_old_versions) {
-      TC_ASSIGN_OR_RETURN(old, CaptureOldVersion(key));
-    }
-    // Unlike Upsert, Delete's miss path ALWAYS assigns *old_out (nullopt
-    // included) — the historical contract.
-    if (old_out != nullptr) *old_out = old;
-  } else if (old_out != nullptr && !mem_hit->anti && !mem_hit->payload.empty()) {
-    *old_out = mem_hit->payload;
-  }
-  mem_->Delete(key, std::move(old));
-  return MaybeFlushPostWrite();
+  if (old_out == nullptr) return DeleteBatch(SingletonSpan<const BtreeKey>(key));
+  std::vector<std::optional<Buffer>> olds;
+  TC_RETURN_IF_ERROR(DeleteBatch(SingletonSpan<const BtreeKey>(key), &olds));
+  *old_out = std::move(olds[0]);
+  return Status::OK();
 }
 
 Status LsmTree::MaybeFlushPostWrite() {
@@ -667,8 +651,7 @@ bool LsmTree::TryArbiterFlush() {
     // Full flush queue: FlushLocked would block on the backpressure wait.
     // Checked here because the queue cannot GROW before FlushLocked's wait —
     // only writers push, and we hold write_mu_.
-    if (opts_.merge_pool != nullptr &&
-        flush_queue_.size() >= opts_.max_pending_flush_builds) {
+    if (flush_queue_.size() >= opts_.max_pending_flush_builds) {
       return false;
     }
   }
@@ -722,13 +705,6 @@ Status LsmTree::Flush() {
 }
 
 Status LsmTree::FlushLocked() {
-  if (opts_.merge_pool == nullptr) {
-    // Inline: build + install on the writer thread, then one policy
-    // decision — deterministic, what unit tests and benches without a pool
-    // rely on.
-    TC_RETURN_IF_ERROR(FlushMemtableInline());
-    return MaybeMergeInline();
-  }
   if (!mem_->empty()) {
     {
       // Backpressure: a bounded queue of sealed generations. Break on ANY
@@ -760,7 +736,7 @@ Status LsmTree::FlushLocked() {
     size_t sealed_bytes = 0;
     {
       // The swap — all the writer pays: seal the generation, queue it for
-      // its pooled build (views keep reading it from the queue), hand new
+      // its build (views keep reading it from the queue), hand new
       // writes a fresh generation.
       std::lock_guard<std::mutex> lock(mu_);
       mem_->Seal();
@@ -787,9 +763,20 @@ Status LsmTree::FlushLocked() {
                           TaskPriority::kHigh);
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ScheduleMergesLocked();
-  return Status::OK();
+  // An inline pool runs the build, and the merges its install cascades,
+  // here — BEFORE the policy is consulted below, which would otherwise claim
+  // the older components ahead of the install. A pool with workers returns
+  // at once.
+  TaskPool* pool = opts_.merge_pool;
+  pool->RunUntilIdle();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ScheduleMergesLocked();
+  }
+  pool->RunUntilIdle();
+  // Work drained on the caller reports to the caller. A pooled Flush() does
+  // not: its jobs' errors surface through the next write or WaitForMerges().
+  return pool->is_inline() ? BackgroundError() : Status::OK();
 }
 
 Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
@@ -804,9 +791,8 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
                                                     opts_.page_size, compressor_,
                                                     opts_.filter));
   TC_RETURN_IF_ERROR(transformer_->OnFlushBegin());
-  // Writer-side iteration is safe here: either this runs on the writer
-  // thread (inline mode, write_mu_ held) or `mem` is a sealed generation
-  // nothing mutates. Transformer calls are serialized in generation order —
+  // `mem` is a sealed generation nothing mutates, so iterating it needs no
+  // lock. Transformer calls are serialized in generation order —
   // at most one flush build per tree at a time — because schema inference is
   // stateful and order-dependent (§3.1.1).
   Buffer transformed;
@@ -837,36 +823,6 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
   TC_RETURN_IF_ERROR(builder->MarkValid());
   return BtreeComponent::Open(opts_.fs, opts_.cache, path, opts_.page_size,
                               compressor_, opts_.filter);
-}
-
-Status LsmTree::FlushMemtableInline() {
-  if (mem_->empty()) return Status::OK();
-  uint64_t cid = next_cid_++;
-  TC_ASSIGN_OR_RETURN(auto comp, BuildFlushComponent(*mem_, cid));
-  uint64_t phys = comp->physical_bytes();
-  size_t sealed_bytes = 0;
-  {
-    // The structure swap: install the component and retire the memtable
-    // generation in one atomic step, so every snapshot sees the record
-    // exactly once — in the generation before, in the component after.
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.bytes_flushed += comp->physical_bytes();
-    ++stats_.flush_count;
-    components_.insert(components_.begin(), std::move(comp));
-    stats_.component_count_high_water = std::max<uint64_t>(
-        stats_.component_count_high_water, components_.size());
-    mem_->Seal();  // frozen for good; views that pinned it keep reading it
-    sealed_bytes = mem_->approximate_bytes();
-    mem_ = std::make_shared<MemTable>();
-  }
-  if (arbiter_reg_ != nullptr) {
-    // Inline flushes seal and install in one step: the generation passes
-    // through sealed accounting and straight out.
-    opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
-    opts_.arbiter->OnFlushInstalled(arbiter_reg_, sealed_bytes, phys);
-  }
-  if (wal_ != nullptr) TC_RETURN_IF_ERROR(wal_->Reset());
-  return Status::OK();
 }
 
 void LsmTree::FlushBuildJob(bool canceled) {
@@ -1199,7 +1155,6 @@ double LsmTree::ScoreMergePlanLocked(const MergePlan& plan) const {
 }
 
 void LsmTree::ScheduleMergesLocked() {
-  if (opts_.merge_pool == nullptr) return;
   // Once an error is latched every further merge is doomed work; stop
   // cascading (the sticky error already gates writers).
   if (!background_error_.ok()) return;
@@ -1253,27 +1208,6 @@ void LsmTree::ScheduleMergesLocked() {
   }
 }
 
-Status LsmTree::MaybeMergeInline() {
-  // Inline: one policy decision per flush, rewritten on the writer thread.
-  // Readers stay unblocked either way — they only need `mu_`, which is held
-  // just for the decision and the final swap.
-  MergePlan plan;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TC_ASSIGN_OR_RETURN(plan, DecideMergeLocked());
-  }
-  if (plan.inputs.empty()) return Status::OK();
-  MergePipelineCounters counters;
-  TC_ASSIGN_OR_RETURN(auto merged, BuildMergedComponent(plan, &counters));
-  uint64_t phys = merged->physical_bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    InstallMergedLocked(plan, std::move(merged));
-    FoldMergeCountersLocked(counters, phys);
-  }
-  return reclaimer_->Drain();
-}
-
 void LsmTree::MergeJob(MergePlan plan, bool canceled) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -1320,13 +1254,11 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
 }
 
 Status LsmTree::WaitForMerges() {
-  if (flush_jobs_ != nullptr) {
-    // Flush installs schedule merges, so settle the flush group first; a
-    // drained build that cascaded re-fills the flush group only via writers,
-    // which callers have quiesced.
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  // Flush installs schedule merges, so settle the flush group first; a
+  // drained build that cascaded re-fills the flush group only via writers,
+  // which callers have quiesced.
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   std::lock_guard<std::mutex> lock(mu_);
   return BackgroundErrorLocked();
 }
@@ -1386,10 +1318,8 @@ Status LsmTree::DestroyAll() {
   std::lock_guard<std::mutex> wlock(write_mu_);
   // Settle background work first (no cancel: completed merges make teardown
   // deterministic); nothing new is scheduled while we hold write_mu_.
-  if (flush_jobs_ != nullptr) {
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   std::vector<std::shared_ptr<BtreeComponent>> doomed;
   std::vector<std::string> wal_segments;
   {
@@ -1437,7 +1367,7 @@ Status LsmTree::Iterator::Position(const BtreeKey* seek_key) {
   // Copy the (budget-bounded) in-memory entries: the live generation may
   // still receive writes, and a private copy makes the scan a stable snapshot
   // of seek time. An upper-bound hint keeps narrow range scans O(range).
-  // With pooled flush builds the view may pin several generations; merge
+  // With queued flush builds the view may pin several generations; merge
   // their snapshots newest-first (a newer generation's entry — anti-matter
   // included — shadows an older generation's under the same key).
   const BtreeKey* to = upper_bound_.has_value() ? &*upper_bound_ : nullptr;

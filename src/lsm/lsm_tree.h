@@ -8,7 +8,7 @@
 // Concurrency model (snapshot reads + concurrent background work, ROADMAP
 // "Parallelism"):
 //   * Every read goes through a ReadView — an immutable value pinning the
-//     memtable generations (live + any sealed ones awaiting their pooled
+//     memtable generations (live + any sealed ones awaiting their
 //     flush build) and the shared_ptr component vector as of one instant.
 //     Acquisition is O(components) under the structure mutex `mu_`; the
 //     search itself runs entirely OUTSIDE any tree lock, so point lookups and
@@ -17,14 +17,14 @@
 //   * Writers are serialized by `write_mu_` (held across WAL append and
 //     memtable update) and take `mu_` only for the brief structure swaps —
 //     readers never wait out a flush or merge rewrite.
-//   * Flush seals the live generation and swaps in a fresh one. Without a
-//     merge pool the component build runs inline on the writer thread
-//     (deterministic — what unit tests use). With a pool the build is
-//     submitted to the shared executor: the writer pays only the generation
-//     swap and a WAL segment rotation, sealed generations stay readable from
-//     the flush queue until their component installs, and at most
-//     `max_pending_flush_builds` generations may be queued before writers
-//     stall (backpressure).
+//   * Flush seals the live generation, swaps in a fresh one, rotates the WAL
+//     segment, and submits the component build to the tree's executor.
+//     Sealed generations stay readable from the flush queue until their
+//     component installs, and at most `max_pending_flush_builds` generations
+//     may be queued before writers stall (backpressure). The executor is the
+//     shared pool when one is given; otherwise the tree owns an inline
+//     TaskPool that the flushing writer drains before Flush returns — the
+//     same jobs, deterministic, on the writer thread (what unit tests use).
 //   * Merges run concurrently per tree: the policy proposes plans over
 //     DISJOINT component ranges (components claimed by an in-flight merge
 //     are excluded from later decisions), up to `max_concurrent_merges` jobs
@@ -163,16 +163,16 @@ struct LsmTreeOptions {
   /// compactor's anti-schema processing and by secondary index maintenance).
   bool capture_old_versions = false;
   /// Shared background executor for merges and flush builds (not owned; must
-  /// outlive the tree). Null = all background work runs inline on the writer
-  /// thread after each flush.
+  /// outlive the tree). Null = the tree owns an inline TaskPool: the same
+  /// jobs run on the flushing writer's thread before Flush returns.
   TaskPool* merge_pool = nullptr;
-  /// Cap on merges of THIS tree building concurrently on the pool (clamped
-  /// to >= 1; irrelevant without a pool). Disjoint plans beyond the cap stay
-  /// unscheduled until a running merge completes.
+  /// Cap on merges of THIS tree scheduled at once (clamped to >= 1).
+  /// Disjoint plans beyond the cap stay unscheduled until a scheduled merge
+  /// completes.
   size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
-  /// Backpressure for pooled flush builds: writers stall once this many
-  /// sealed generations await their component build (clamped to >= 1;
-  /// irrelevant without a pool).
+  /// Backpressure for flush builds: writers stall once this many sealed
+  /// generations await their component build (clamped to >= 1; an inline
+  /// pool builds each generation before the next can be sealed).
   size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
   /// Node-level memory arbiter (not owned; must outlive the tree). When set,
   /// flush triggering is GLOBAL: the tree registers on Open, reports its
@@ -219,7 +219,7 @@ struct LsmStats {
   /// disjoint merges actually ran concurrently (scheduled-but-queued jobs
   /// don't count).
   uint64_t concurrent_merges_high_water = 0;
-  /// Most sealed generations ever queued for a pooled flush build at once
+  /// Most sealed generations ever queued for a flush build at once
   /// (bounded by max_pending_flush_builds).
   uint64_t flush_queue_high_water = 0;
 
@@ -320,7 +320,7 @@ struct LsmReadCounters {
 class LsmTree {
  public:
   /// An immutable snapshot of the tree: the pinned memtable generations
-  /// (live, plus any sealed generations whose pooled flush build has not
+  /// (live, plus any sealed generations whose flush build has not
   /// installed yet) plus the on-disk component vector at acquisition time.
   /// All searching happens without tree locks. A view observes every write
   /// committed before its acquisition; writes applied to the pinned live
@@ -356,8 +356,9 @@ class LsmTree {
     /// The generation that was live at acquisition time.
     const MemTable& memtable() const& { return *mem_; }
     void memtable() && = delete;
-    /// Sealed generations still awaiting their pooled flush build, newest
-    /// first — empty in the common case (inline flushes, or an idle queue).
+    /// Sealed generations still awaiting their flush build, newest first —
+    /// empty in the common case (an idle queue; always, between writes, on
+    /// a tree without a pool).
     /// Lookups and scans must consult memtable() first, then these in order
     /// (newer shadows older).
     const std::vector<std::shared_ptr<const MemTable>>& pending_memtables()
@@ -418,23 +419,25 @@ class LsmTree {
   Status InsertBatch(Span<const MemPutOp> ops);
 
   /// Upsert = delete-if-exists + insert (§2.2). Captures the old on-disk
-  /// version when configured; `old_out`, if non-null, receives it.
+  /// version when configured; `old_out`, if non-null, receives the previous
+  /// version and is left untouched when there is none. A batch of one:
+  /// delegates to UpsertBatch.
   Status Upsert(const BtreeKey& key, std::string_view payload,
                 std::optional<Buffer>* old_out = nullptr);
 
-  /// Deletes by key (inserts an anti-matter entry).
+  /// Deletes by key (inserts an anti-matter entry). `old_out`, if non-null,
+  /// is always assigned: the previous version, or nullopt. A batch of one:
+  /// delegates to DeleteBatch.
   Status Delete(const BtreeKey& key, std::optional<Buffer>* old_out = nullptr);
 
   /// Batched upsert: ONE writer-lock acquisition and ONE group-committed WAL
   /// append for the whole batch (the InsertBatch amortization), then the
-  /// per-record old-version capture of Upsert. `old_out`, if non-null, is
-  /// resized to ops.size(); slot i follows Upsert's old_out contract for
-  /// ops[i] (assigned only when an old version existed).
+  /// per-record old-version capture. `old_out`, if non-null, is resized to
+  /// ops.size(); slot i holds the previous version of ops[i], or nullopt.
   Status UpsertBatch(Span<const MemPutOp> ops,
                      std::vector<std::optional<Buffer>>* old_out = nullptr);
 
-  /// Batched delete; slot i of `old_out` follows Delete's contract for
-  /// keys[i] (always assigned on the memtable-miss path, nullopt included).
+  /// Batched delete; `old_out` as in UpsertBatch.
   Status DeleteBatch(Span<const BtreeKey> keys,
                      std::vector<std::optional<Buffer>>* old_out = nullptr);
 
@@ -445,16 +448,16 @@ class LsmTree {
   Result<std::optional<Buffer>> GetDiskVersion(const BtreeKey& key);
 
   /// Flushes the in-memory component if non-empty, then consults the merge
-  /// policy. Without a merge pool the build and any merges run inline; with
-  /// one, the sealed generation is queued for a pooled build (subject to the
-  /// max_pending_flush_builds backpressure) and Flush returns as soon as the
-  /// swap is done — call WaitForMerges() to quiesce.
+  /// policy. The sealed generation is queued for its build (subject to the
+  /// max_pending_flush_builds backpressure). With a merge pool Flush returns
+  /// as soon as the swap is done — call WaitForMerges() to quiesce. Without
+  /// one, the build and every merge it cascades into have run when Flush
+  /// returns, and Flush returns their error.
   Status Flush();
 
-  /// Blocks until no background work — merge or pooled flush build — is
-  /// scheduled or running for this tree; returns the sticky background
-  /// error, if any (build failures and deferred-deletion failures alike). A
-  /// no-op without a merge pool.
+  /// Blocks until no background work — merge or flush build — is scheduled
+  /// or running for this tree; returns the sticky background error, if any
+  /// (build failures and deferred-deletion failures alike).
   Status WaitForMerges();
 
   /// Builds a single on-disk component from externally sorted entries
@@ -582,27 +585,22 @@ class LsmTree {
   bool TryArbiterFlush();
   Status RecoverComponents();
   Status ReplayWal();
-  // Writer-side (write_mu_ held): flush + merge dispatch — inline builds
-  // without a pool, generation handoff + scheduling with one.
+  // Writer-side (write_mu_ held): generation handoff + WAL rotation + build
+  // submission, then merge scheduling; drains an inline pool.
   Status FlushLocked();
-  // Writer-side: builds + installs the flushed component synchronously and
-  // resets the WAL (the no-pool path, and crash-recovery replay).
-  Status FlushMemtableInline();
   // Streams one sealed generation through the transformer into a component
-  // file. Runs on the writer thread (inline mode) or a pool thread (at most
-  // one flush build per tree at a time, in generation order — the
-  // transformer is stateful and schema evolution is order-dependent).
+  // file, on a pool job (at most one flush build per tree at a time, in
+  // generation order — the transformer is stateful and schema evolution is
+  // order-dependent).
   Result<std::shared_ptr<BtreeComponent>> BuildFlushComponent(
       const MemTable& mem, uint64_t cid);
   // Pool job: builds the oldest queued generation, installs it, reschedules
   // itself while generations remain queued.
   void FlushBuildJob(bool canceled);
-  // Inline-mode merging: one policy decision per flush on the writer thread.
-  Status MaybeMergeInline();
   // *Locked methods require `mu_` to be held by the caller.
   // Launches merge jobs for every disjoint plan the policy proposes, up to
   // max_concurrent_merges; claimed components are excluded from decisions.
-  // No-op without a pool or once an error is latched.
+  // No-op once an error is latched.
   void ScheduleMergesLocked();
   Result<MergePlan> DecideMergeLocked();
   void InstallMergedLocked(const MergePlan& plan,
@@ -621,7 +619,7 @@ class LsmTree {
   std::optional<MemTable::ScanEntry> FindPendingFlushEntry(
       const BtreeKey& key) const;
   // Writer-side old-version capture for a live-memtable miss (requires
-  // capture_old_versions): a sealed generation queued for its pooled flush
+  // capture_old_versions): a sealed generation queued for its flush
   // build shadows the disk — the version surviving in it is exactly what the
   // disk will hold once that build installs (its tombstone means "no
   // previous version") — otherwise the current on-disk version is looked up,
@@ -642,8 +640,8 @@ class LsmTree {
   // (the recompressed-bytes figure when the rewrite switched codecs).
   void FoldMergeCountersLocked(const MergePipelineCounters& counters,
                                uint64_t merged_physical_bytes);
-  // Executes one scheduled merge on a pool thread, then re-decides
-  // (cascade); short-circuits when canceled or an error is latched.
+  // Executes one scheduled merge as a pool job, then re-decides (cascade);
+  // short-circuits when canceled or an error is latched.
   void MergeJob(MergePlan plan, bool canceled);
 
   LsmTreeOptions opts_;
@@ -666,7 +664,7 @@ class LsmTree {
   mutable std::mutex mu_;
   std::shared_ptr<MemTable> mem_;     // live generation; swapped by flush
   std::vector<std::shared_ptr<BtreeComponent>> components_;  // newest first
-  // Sealed generations awaiting pooled builds, oldest first. Builds run one
+  // Sealed generations awaiting their builds, oldest first. Builds run one
   // at a time in queue order; views pin every queued generation.
   std::deque<PendingFlush> flush_queue_;
   bool flush_build_running_ = false;  // a FlushBuildJob is scheduled/running
@@ -678,12 +676,15 @@ class LsmTree {
   size_t merges_building_ = 0;  // actually rewriting right now
   Status background_error_;     // sticky first background failure
 
+  // The executor of a tree opened without a merge pool (opts_.merge_pool
+  // then points here). Declared before the groups, which drain into it.
+  std::unique_ptr<TaskPool> inline_pool_;
   // Track this tree's pool jobs, split by kind: WaitForMerges() waits on
   // both; the destructor always cancels queued MERGE jobs (their inputs
   // stay live in the tree), but cancels queued FLUSH builds only when a WAL
   // backs the tree — without one, a sealed generation has no segment to
   // replay, so teardown must drain its build to stay lossless (the
-  // pk/secondary index trees run WAL-less). Null without a pool.
+  // pk/secondary index trees run WAL-less).
   std::unique_ptr<TaskGroup> flush_jobs_;
   std::unique_ptr<TaskGroup> merge_jobs_;
 

@@ -99,6 +99,12 @@ Status WriteAheadLog::Replay(
     Buffer body(body_len);
     TC_RETURN_IF_ERROR(file_->Read(pos + 8, body_len, body.data()));
     if (Crc32c(body.data(), body.size()) != crc) break;  // torn tail
+    if (body[8] != static_cast<uint8_t>(WalOp::kPut) &&
+        body[8] != static_cast<uint8_t>(WalOp::kDelete)) {
+      return Status::Corruption(path_ + ": unknown WAL op " +
+                                std::to_string(body[8]) + " at offset " +
+                                std::to_string(pos));
+    }
     WalRecord r;
     r.lsn = GetFixed64(body.data());
     r.op = static_cast<WalOp>(body[8]);
@@ -115,14 +121,6 @@ Status WriteAheadLog::Sync() {
   if (sync_every_n_ == 0) return Status::OK();  // caller opted out of fsync
   appends_since_sync_ = 0;
   return file_->Sync();
-}
-
-Status WriteAheadLog::Reset() {
-  // Recreate the file; next_lsn_ keeps increasing so LSNs stay unique.
-  TC_ASSIGN_OR_RETURN(file_, fs_->Create(path_));
-  write_offset_ = 0;
-  appends_since_sync_ = 0;
-  return Status::OK();
 }
 
 }  // namespace tc

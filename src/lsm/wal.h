@@ -1,9 +1,9 @@
 // Write-ahead log (paper §2.2): no-steal/no-force buffer management means
 // every ingested operation is logged before it is acknowledged; on a crash the
-// memtable's unflushed tail is rebuilt by replaying the log. Because a flush
-// persists the entire in-memory component, the log is reset once the flushed
-// component is marked VALID (the paper: "the tree manager can safely delete
-// the logs for the flushed component").
+// memtable's unflushed tail is rebuilt by replaying the log. Each flush
+// rotates the tree to a fresh log segment; the sealed segment is deleted once
+// the flushed component is marked VALID (the paper: "the tree manager can
+// safely delete the logs for the flushed component").
 #ifndef TC_LSM_WAL_H_
 #define TC_LSM_WAL_H_
 
@@ -62,11 +62,11 @@ class WriteAheadLog {
   Status AppendBatch(Span<const WalAppendOp> ops, uint64_t* first_lsn = nullptr);
 
   /// Replays all records in LSN order. Corrupt tails (torn final record) stop
-  /// replay silently, matching standard WAL semantics.
+  /// replay silently, matching standard WAL semantics. A record whose CRC
+  /// holds but whose op is unknown is Corruption (naming path and offset):
+  /// no torn write produces one, and guessing its meaning would turn it into
+  /// a put or a delete.
   Status Replay(const std::function<Status(const WalRecord&)>& fn) const;
-
-  /// Drops all log records (called after a flush commits).
-  Status Reset();
 
   /// Forces buffered appends to the device — called before a log segment is
   /// frozen behind a pooled flush build, so the segment is as durable as the
@@ -80,7 +80,7 @@ class WriteAheadLog {
  private:
   WriteAheadLog() = default;
 
-  std::shared_ptr<FileSystem> fs_;
+  std::shared_ptr<FileSystem> fs_;  // outlives file_ (its device model)
   std::unique_ptr<File> file_;
   std::string path_;
   uint64_t next_lsn_ = 1;

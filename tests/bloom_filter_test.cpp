@@ -17,8 +17,6 @@
 namespace tc {
 namespace {
 
-std::string S(const Buffer& b) { return std::string(b.begin(), b.end()); }
-
 struct FilterFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{4096, 1024};
@@ -270,7 +268,9 @@ TEST(BloomFilterTree, MissesAnswerWithoutTouchingPages) {
   // (odd key) would walk every component's B-tree.
   for (int64_t k = 0; k < 3000; ++k) {
     ASSERT_TRUE(t->Insert(BtreeKey{2 * k, 0}, "payload").ok());
-    if (k % 500 == 499) ASSERT_TRUE(t->Flush().ok());
+    if (k % 500 == 499) {
+      ASSERT_TRUE(t->Flush().ok());
+    }
   }
   ASSERT_TRUE(t->Flush().ok());
   ASSERT_GE(t->component_count(), 4u);
@@ -377,7 +377,9 @@ TEST(BloomFilterTree, FiltersSurviveMergesAndRecovery) {
     auto t = LsmTree::Open(std::move(o)).ValueOrDie();
     for (int64_t k = 0; k < 4000; ++k) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v").ok());
-      if (k % 800 == 799) ASSERT_TRUE(t->Flush().ok());
+      if (k % 800 == 799) {
+        ASSERT_TRUE(t->Flush().ok());
+      }
     }
     ASSERT_TRUE(t->Flush().ok());
   }

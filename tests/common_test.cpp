@@ -4,7 +4,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/bit_packer.h"
 #include "common/bytes.h"
@@ -231,6 +233,113 @@ TEST(TaskGroup, TwoGroupsOnOnePoolAreIndependent) {
   b.Wait();
   EXPECT_EQ(a_ran.load(), 1);
   EXPECT_EQ(b_ran.load(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Inline TaskPool: no workers; the queue runs on whoever drains it.
+// ---------------------------------------------------------------------------
+
+TEST(InlineTaskPool, SubmitOnlyQueues) {
+  auto pool = TaskPool::Inline();
+  EXPECT_TRUE(pool->is_inline());
+  EXPECT_EQ(pool->thread_count(), 0u);
+  int ran = 0;
+  pool->Submit([&] { ++ran; });
+  EXPECT_EQ(ran, 0);
+  pool->RunUntilIdle();
+  EXPECT_EQ(ran, 1);
+}
+
+TEST(InlineTaskPool, RunsOnTheCallerHighLaneFirst) {
+  auto pool = TaskPool::Inline();
+  std::vector<std::string> order;
+  const std::thread::id caller = std::this_thread::get_id();
+  auto task = [&](const char* name) {
+    return [&order, &caller, name] {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(name);
+    };
+  };
+  pool->Submit(task("n1"));
+  pool->Submit(task("h1"), TaskPriority::kHigh);
+  pool->Submit(task("n2"));
+  pool->Submit(task("h2"), TaskPriority::kHigh);
+  pool->RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"h1", "h2", "n1", "n2"}));
+}
+
+TEST(InlineTaskPool, DrainsTasksSubmittedByTasks) {
+  auto pool = TaskPool::Inline();
+  std::vector<std::string> order;
+  pool->Submit([&] {
+    order.push_back("n1");
+    // Queued behind nothing on the high lane: runs before n2.
+    pool->Submit([&] { order.push_back("h-from-n1"); }, TaskPriority::kHigh);
+    pool->Submit([&] { order.push_back("n-from-n1"); });
+  });
+  pool->Submit([&] { order.push_back("n2"); });
+  pool->RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"n1", "h-from-n1", "n2",
+                                             "n-from-n1"}));
+}
+
+TEST(InlineTaskPool, PoolWithWorkersReturnsAtOnce) {
+  TaskPool pool(1);
+  EXPECT_FALSE(pool.is_inline());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  TaskGroup group(&pool);
+  group.Submit([&](bool) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
+  });
+  pool.RunUntilIdle();  // must not run, or wait for, the blocked task
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  group.Wait();
+}
+
+TEST(InlineTaskPool, TaskGroupWaitDrains) {
+  auto pool = TaskPool::Inline();
+  TaskGroup group(pool.get());
+  int ran = 0;
+  group.Submit([&](bool canceled) {
+    EXPECT_FALSE(canceled);
+    ++ran;
+    group.Submit([&](bool) { ++ran; });
+  });
+  EXPECT_EQ(group.outstanding(), 1u);
+  group.Wait();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(group.outstanding(), 0u);
+}
+
+TEST(InlineTaskPool, CanceledGroupDrainsAsSkips) {
+  auto pool = TaskPool::Inline();
+  TaskGroup group(pool.get());
+  bool saw_cancel = false;
+  group.Submit([&](bool canceled) { saw_cancel = canceled; });
+  group.Cancel();
+  group.Wait();
+  EXPECT_TRUE(saw_cancel);
+}
+
+TEST(InlineTaskPool, DestructorsDrain) {
+  int ran = 0;
+  {
+    auto pool = TaskPool::Inline();
+    {
+      TaskGroup group(pool.get());
+      group.Submit([&](bool) { ++ran; });
+    }  // ~TaskGroup waits, which drains
+    EXPECT_EQ(ran, 1);
+    pool->Submit([&] { ++ran; });
+  }  // ~TaskPool drains what is still queued
+  EXPECT_EQ(ran, 2);
 }
 
 }  // namespace

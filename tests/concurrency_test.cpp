@@ -5,8 +5,9 @@
 //     memtable generation is retired, read-committed before);
 //   * retired component files are deleted only after the last view
 //     referencing them is released (deferred deletion);
-//   * merges scheduled on a shared TaskPool produce byte-identical content
-//     to inline merges.
+//   * merges scheduled on a shared TaskPool lose no write: under
+//     upsert/delete churn every key and a full scan agree with a std::map
+//     model of the writes once the background work drains.
 // With a pool, trees now also build flushed components on the executor and
 // run disjoint merges concurrently, so every pool-backed test here doubles as
 // coverage for that pipeline; merge_concurrency_test.cpp carries the

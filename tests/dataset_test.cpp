@@ -462,7 +462,7 @@ TEST(Dataset, InsertBatchPkIndexFailureMarksEveryRecord) {
   constexpr size_t kBatch = 256;
   bool failed = false;
   // The pk-index memtable budget is 64 KiB (~1024 entries): a few batches in,
-  // its inline flush hits the injected failure.
+  // its flush hits the injected failure.
   for (int64_t base = 0; base < 4096 && !failed; base += kBatch) {
     std::vector<AdmValue> batch = SequentialBatch(base, kBatch);
     BatchErrors errors;

@@ -26,6 +26,14 @@ int FuzzDeserializeSchema(const uint8_t* data, size_t size);
 /// output a decoder accepts round-trips through the snappy codec.
 int FuzzDecompress(const uint8_t* data, size_t size);
 
+/// Arbitrary bytes as a write-ahead log segment, replayed by the log itself
+/// and by crash recovery of an LSM tree whose only log segment it is.
+/// Invariants: never crashes; the log and the tree accept or reject the same
+/// bytes; accepted records are puts or deletes, frame exactly the bytes the
+/// log reports, and survive a re-encode; and the recovered tree holds exactly
+/// what those records say (the last put of a key wins, a delete removes it).
+int FuzzWalReplay(const uint8_t* data, size_t size);
+
 }  // namespace tc
 
 #endif  // TC_TESTS_FUZZ_FUZZ_TARGETS_H_

@@ -1,8 +1,9 @@
 // Regenerates the checked-in fuzz corpus under tests/fuzz/corpus/. Seeds come
 // from the workload generators (real record shapes for ParseAdm; their
 // inferred schemas, serialized, for DeserializeSchema; snappy and heavy
-// streams of their vector-format records for the page decoders) plus
-// handwritten edge cases. Deterministic — rerunning produces identical files.
+// streams of their vector-format records for the page decoders; logs of
+// their records for WAL replay) plus handwritten edge cases. Deterministic —
+// rerunning produces identical files.
 //
 //   ./make_corpus <corpus_dir>
 #include <cstdio>
@@ -12,7 +13,9 @@
 #include <vector>
 
 #include "adm/printer.h"
+#include "common/crc32.h"
 #include "format/vector_format.h"
+#include "lsm/wal.h"
 #include "schema/inference.h"
 #include "schema/schema_io.h"
 #include "schema/schema_tree.h"
@@ -36,6 +39,43 @@ tc::Buffer Stream(uint64_t declared, std::initializer_list<uint8_t> ops) {
   tc::PutVarint64(&s, declared);
   s.insert(s.end(), ops);
   return s;
+}
+
+// One hand-framed WAL record with a valid CRC: u32 body_len | u32 crc |
+// u64 lsn | u8 op | 16 B key | payload. `op` is a raw byte so seeds can
+// carry ops the log must refuse.
+tc::Buffer WalFrame(uint64_t lsn, uint8_t op, int64_t key,
+                    const std::string& payload) {
+  tc::Buffer body;
+  tc::PutFixed64(&body, lsn);
+  tc::PutU8(&body, op);
+  tc::PutFixed64(&body, static_cast<uint64_t>(key));
+  tc::PutFixed64(&body, 0);
+  body.insert(body.end(), payload.begin(), payload.end());
+  tc::Buffer frame;
+  tc::PutFixed32(&frame, static_cast<uint32_t>(body.size()));
+  tc::PutFixed32(&frame, tc::Crc32c(body.data(), body.size()));
+  frame.insert(frame.end(), body.begin(), body.end());
+  return frame;
+}
+
+// The bytes WriteAheadLog itself writes for `ops`, appended one batch each.
+tc::Buffer WalBytes(const std::vector<std::vector<tc::WalAppendOp>>& batches) {
+  auto fs = tc::MakeMemFileSystem();
+  {
+    auto wal = tc::WriteAheadLog::Open(fs, "log", 0).ValueOrDie();
+    for (const auto& batch : batches) TC_CHECK(wal->AppendBatch(batch).ok());
+  }
+  auto file = fs->Open("log").ValueOrDie();
+  tc::Buffer bytes(file->Size());
+  TC_CHECK(file->Read(0, bytes.size(), bytes.data()).ok());
+  return bytes;
+}
+
+tc::Buffer Concat(std::initializer_list<tc::Buffer> parts) {
+  tc::Buffer out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
 }
 
 }  // namespace
@@ -194,6 +234,53 @@ int main(int argc, char** argv) {
   };
   for (const auto& [name, stream] : edges) {
     WriteFile(dir + "/lz77_edge_" + name, stream);
+    ++n;
+  }
+
+  // WAL-replay seeds: logs WriteAheadLog wrote (Twitter records as payloads,
+  // and puts/deletes/overwrites of a few keys), then the damage a crash or a
+  // bad disk does to them, plus hand-framed records whose CRC holds but which
+  // replay must still refuse or size-check.
+  using tc::WalOp;
+  {
+    auto gen = tc::MakeGenerator("twitter", /*seed=*/7);
+    std::vector<std::string> texts;
+    for (int i = 0; i < 6; ++i) texts.push_back(tc::PrintAdm(gen->NextRecord()));
+    std::vector<tc::WalAppendOp> batch;
+    for (size_t i = 0; i < texts.size(); ++i) {
+      batch.push_back({WalOp::kPut, tc::BtreeKey{static_cast<int64_t>(i), 0},
+                       texts[i]});
+    }
+    WriteFile(dir + "/wal_twitter", WalBytes({batch}));
+    ++n;
+  }
+  const tc::Buffer mixed = WalBytes({
+      {{WalOp::kPut, tc::BtreeKey{1, 0}, "alpha"},
+       {WalOp::kPut, tc::BtreeKey{2, 0}, "beta"},
+       {WalOp::kPut, tc::BtreeKey{-3, 7}, ""}},
+      {{WalOp::kDelete, tc::BtreeKey{1, 0}, ""}},
+      {{WalOp::kPut, tc::BtreeKey{2, 0}, "beta-overwritten"},
+       {WalOp::kDelete, tc::BtreeKey{9, 0}, ""}},
+  });
+  tc::Buffer torn(mixed.begin(), mixed.end() - 3);
+  tc::Buffer bad_crc = mixed;
+  bad_crc[8 + 25 + 2] ^= 0xFF;  // first record's payload: CRC mismatch
+  tc::Buffer short_body;
+  tc::PutFixed32(&short_body, 10);
+  tc::PutFixed32(&short_body, 0);
+  short_body.resize(short_body.size() + 10, 0);
+  const std::vector<std::pair<const char*, tc::Buffer>> wal_seeds = {
+      {"mixed", mixed},
+      {"torn_tail", torn},
+      {"bad_crc_then_valid", bad_crc},
+      {"unknown_op", Concat({WalFrame(1, 1, 5, "ok"), WalFrame(2, 7, 6, "??")})},
+      {"op_zero", WalFrame(1, 0, 5, "zero")},
+      {"short_body", Concat({WalFrame(1, 1, 5, "ok"), short_body})},
+      {"max_lsn", WalFrame(UINT64_MAX, 1, 5, "last")},
+      {"oversized_record", WalFrame(1, 1, 5, std::string(5000, 'x'))},
+  };
+  for (const auto& [name, bytes] : wal_seeds) {
+    WriteFile(dir + "/wal_" + name, bytes);
     ++n;
   }
 

@@ -1,7 +1,7 @@
 // Always-on corpus replay: every checked-in fuzz input runs through every fuzz
-// target under the normal test harness, so the parser/schema/page-decoder
-// invariants the fuzzers enforce are exercised in every CI run — clang and libFuzzer are
-// only needed to EXTEND the corpus, not to check it.
+// target under the normal test harness, so the parser/schema/page-decoder/
+// WAL-replay invariants the fuzzers enforce are exercised in every CI run —
+// clang and libFuzzer are only needed to EXTEND the corpus, not to check it.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -71,6 +71,22 @@ TEST(FuzzCorpusTest, DecompressHasStreamSeeds) {
     if (path.filename().string().rfind("lz77_", 0) == 0) ++streams;
   }
   EXPECT_GE(streams, 10u);
+}
+
+TEST(FuzzCorpusTest, WalReplayReplaysClean) {
+  for (const auto& path : CorpusFiles()) {
+    SCOPED_TRACE(path.string());
+    std::vector<uint8_t> bytes = ReadAll(path);
+    EXPECT_EQ(0, FuzzWalReplay(bytes.data(), bytes.size()));
+  }
+}
+
+TEST(FuzzCorpusTest, WalReplayHasLogSeeds) {
+  size_t logs = 0;
+  for (const auto& path : CorpusFiles()) {
+    if (path.filename().string().rfind("wal_", 0) == 0) ++logs;
+  }
+  EXPECT_GE(logs, 8u);
 }
 
 TEST(FuzzCorpusTest, DeepNestingRejectedCleanly) {

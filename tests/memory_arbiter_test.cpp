@@ -235,7 +235,7 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
     trees.push_back(fx.Open(&arb, "t" + std::to_string(i)));
   }
 
-  // Inline flushes (no pool): the enforced bound is the arbiter's hard
+  // Pool-less trees (each drains its inline pool): the enforced bound is the arbiter's hard
   // ceiling — live memory under 2x the share (a skipped dispatch past that
   // makes the caller drain itself), plus slack for floors and records in
   // flight. Sealed bytes are transient here (a generation mid-build, drained
@@ -518,7 +518,7 @@ TEST(MemoryArbiter, TreeBuildsChargeBackgroundScratch) {
     for (int64_t k = 32; k < 64; ++k) {
       ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "vvvv").ok());
     }
-    ASSERT_TRUE(tree->Flush().ok());  // flush build + inline merge rewrite
+    ASSERT_TRUE(tree->Flush().ok());  // flush build + merge, drained here
   }
   MemoryArbiter::Stats s = arb.stats();
   EXPECT_GE(s.background_charges, 3u);  // two flush builds + one merge

@@ -598,5 +598,44 @@ TEST(MergeConcurrency, FlushBuildsOutrankQueuedMergesUnderStorm) {
   }
 }
 
+// One flush/merge path: a tree without a pool runs the pooled scheduler on
+// an inline pool, so the same flush sequence yields the same component
+// structure as a one-thread pool that is allowed to settle after each flush.
+TEST(MergeConcurrency, InlinePoolMatchesOneThreadPoolComponentRanges) {
+  auto ranges = [](LsmTree* t) {
+    std::vector<std::pair<uint64_t, uint64_t>> out;
+    auto view = t->View();
+    for (const auto& c : view.components()) {
+      out.emplace_back(c->meta().cid_min, c->meta().cid_max);
+    }
+    return out;
+  };
+  Fixture inline_fx;
+  Fixture pooled_fx;
+  auto inline_tree =
+      inline_fx.Open(MakeTieredMergePolicy(3, 2), /*pool_threads=*/1,
+                     /*max_merges=*/2, /*max_pending=*/2,
+                     /*memtable_bytes=*/1 << 20, /*capture_old=*/false,
+                     /*use_wal=*/true, /*use_pool=*/false);
+  auto pooled_tree = pooled_fx.Open(MakeTieredMergePolicy(3, 2),
+                                    /*pool_threads=*/1, /*max_merges=*/2);
+  std::string v(64, 'v');
+  for (int f = 0; f < 12; ++f) {
+    // Growing batches, so tiers of unequal sizes meet.
+    int n = 8 + 4 * (f % 3);
+    ASSERT_TRUE(inline_fx.FlushBatch(inline_tree.get(), f * 32, n, v).ok());
+    ASSERT_TRUE(pooled_fx.FlushBatch(pooled_tree.get(), f * 32, n, v).ok());
+    ASSERT_TRUE(pooled_tree->WaitForMerges().ok());
+    EXPECT_EQ(ranges(inline_tree.get()), ranges(pooled_tree.get()))
+        << "after flush " << f;
+  }
+  LsmStats a = inline_tree->stats();
+  LsmStats b = pooled_tree->stats();
+  EXPECT_EQ(a.flush_count, 12u);
+  EXPECT_GE(a.merge_count, 2u);
+  EXPECT_EQ(a.merge_count, b.merge_count);
+  EXPECT_EQ(a.bytes_merged, b.bytes_merged);
+}
+
 }  // namespace
 }  // namespace tc

@@ -213,6 +213,34 @@ TEST(Recovery, WalSegmentsFromPendingFlushBuildsReplayInOrder) {
   EXPECT_EQ(segs.size(), 2u);  // the fresh base segment + the stray
 }
 
+// A tree without a pool rotates its WAL on every flush, exactly like a
+// pooled one: the flushed generation's segment is deleted once its component
+// installs, and later writes live in the rotated segment t.wal.N. A crash
+// then leaves only that segment, and the next Open must replay it.
+TEST(Recovery, PoolLessTreeReplaysRotatedSegment) {
+  auto fs = MakeMemFileSystem();
+  BufferCache cache(4096, 512);
+  {
+    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "flushed").ok());
+    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(t->Upsert(BtreeKey{1, 0}, "unflushed", nullptr).ok());
+    ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "unflushed").ok());
+    ASSERT_TRUE(t->Delete(BtreeKey{3, 0}, nullptr).ok());
+    EXPECT_EQ(fs->List("rec", "t.wal").ValueOrDie(),
+              std::vector<std::string>{"t.wal.1"});
+    // "Crash": drop the tree without flushing.
+  }
+  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "unflushed");
+  EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "unflushed");
+  EXPECT_FALSE(t->Get(BtreeKey{3, 0}).ValueOrDie().has_value());
+  EXPECT_EQ(t->stats().flush_count, 1u);  // the replayed generation
+  // Recovery flushed the replayed segment, then restarted at the base one.
+  EXPECT_EQ(fs->List("rec", "t.wal").ValueOrDie(),
+            std::vector<std::string>{"t.wal"});
+}
+
 // Group-commit crash point: a batch acknowledged BEFORE the crash (its group
 // was written and synced) must survive replay in full; a later batch torn
 // mid-write may vanish entirely — never a partial mix inside the acked batch.

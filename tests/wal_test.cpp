@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "lsm/wal.h"
 
 namespace tc {
@@ -62,20 +63,35 @@ TEST(Wal, TornTailIsIgnored) {
   EXPECT_EQ(n, 1u);  // only the intact record replays
 }
 
-TEST(Wal, ResetDropsRecordsKeepsLsnMonotonic) {
+// A record whose CRC holds but whose op byte is neither put nor delete is
+// not a torn tail: replay (and Open, which scans the log) must refuse it as
+// Corruption naming the file and offset, not apply it as a delete.
+TEST(Wal, UnknownOpWithValidCrcIsCorruption) {
   auto fs = MakeMemFileSystem();
-  auto wal = WriteAheadLog::Open(fs, "log", 0).ValueOrDie();
-  (void)wal->Append(WalOp::kPut, BtreeKey{1, 0}, "a").ValueOrDie();
-  ASSERT_TRUE(wal->Reset().ok());
-  EXPECT_EQ(wal->size_bytes(), 0u);
-  EXPECT_EQ(wal->Append(WalOp::kPut, BtreeKey{2, 0}, "b").ValueOrDie(), 2u);
-  size_t n = 0;
-  ASSERT_TRUE(wal->Replay([&](const WalRecord&) {
-                    ++n;
-                    return Status::OK();
-                  })
-                  .ok());
-  EXPECT_EQ(n, 1u);
+  {
+    auto wal = WriteAheadLog::Open(fs, "log", 1).ValueOrDie();
+    (void)wal->Append(WalOp::kPut, BtreeKey{1, 0}, "a").ValueOrDie();
+    (void)wal->Append(WalOp::kPut, BtreeKey{2, 0}, "b").ValueOrDie();
+  }
+  // Second record: header at 34 (8 header + 26 body bytes before it), body
+  // at 42, op byte after the 8-byte LSN. Re-seal the CRC over the new body.
+  auto f = fs->Open("log").ValueOrDie();
+  uint8_t header[8];
+  ASSERT_TRUE(f->Read(34, 8, header).ok());
+  uint32_t body_len = GetFixed32(header);
+  Buffer body(body_len);
+  ASSERT_TRUE(f->Read(42, body_len, body.data()).ok());
+  body[8] = 7;
+  ASSERT_TRUE(f->Write(42, body.data(), body.size()).ok());
+  Buffer crc;
+  PutFixed32(&crc, Crc32c(body.data(), body.size()));
+  ASSERT_TRUE(f->Write(38, crc.data(), crc.size()).ok());
+
+  auto reopened = WriteAheadLog::Open(fs, "log", 1);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find("log"), std::string::npos);
+  EXPECT_NE(reopened.status().message().find("offset 34"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
